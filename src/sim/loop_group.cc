@@ -20,6 +20,14 @@ namespace {
 // deterministically without any shared counter. -1 outside DriveLoop.
 thread_local int tls_driving_loop = -1;
 
+// Barrier spin budget (pause iterations) before a waiting thread parks on a condvar.
+// At ~21 ns per pause (4-vCPU x86 VM) this spins ~1 ms: bench/parallel_loops publishes
+// a pooled round every few hundred microseconds, and a budget of 4000 (~85 us) parked
+// workers on up to half of its rounds, costing it a wake-up each; 50000 cut parks from
+// ~1,200 to ~20 per run and lifted its speedup from ~1.8x to ~2.6x (medians of 8 and 6
+// alternating runs).
+constexpr int kSpinIterations = 50000;
+
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -280,6 +288,7 @@ void LoopGroup::RecordRoundStats() {
   }
   RaiseTo("loop_events_highwater", hottest);
   RaiseTo("round_events_highwater", total);
+  last_round_events_ = total;
 }
 
 void LoopGroup::DriveLoop(int index, SimTime barrier) {
@@ -366,10 +375,12 @@ void LoopGroup::RebuildUnits() {
 }
 
 void LoopGroup::StartWorkers() {
-  worker_count_ = std::min(options_.threads, size());
-  // Spinning on single-core hardware burns the core the other side needs: park
-  // immediately there.
-  spin_budget_ = HardwareThreads() > 1 ? options_.spin_iterations : 0;
+  // The driver claims units too, so K threads in total means K - 1 workers.
+  worker_count_ = std::min(options_.threads, size()) - 1;
+  // Spinning only pays while every thread has a core of its own: with more threads than
+  // cores a spinner burns the core a peer needs to finish, so park immediately there.
+  spin_budget_ = worker_count_ + 1 <= HardwareThreads() ? kSpinIterations : 0;
+  unit_claims_ = std::vector<std::atomic<uint64_t>>(static_cast<size_t>(size()));
   workers_.reserve(static_cast<size_t>(worker_count_));
   for (int w = 0; w < worker_count_; ++w) {
     workers_.emplace_back([this, w]() { WorkerMain(w); });
@@ -405,18 +416,7 @@ void LoopGroup::WorkerMain(int worker_index) {
       --parked_workers_;
     }
     seen = gen;
-    const SimTime barrier = round_barrier_;
-    // Work stealing: claim the next undriven unit off the shared index until the
-    // round is exhausted. Each unit is still touched by exactly one thread per round
-    // (a claim is exclusive), so loops need no locking and per-loop event order — and
-    // therefore determinism — is untouched; stealing only decides *which thread*
-    // drives a unit. Unlike a static stripe, a worker that drew a hot loop no longer
-    // pins the rest of its stripe behind it: idle workers steal those units instead.
-    int unit;
-    while ((unit = claim_.fetch_add(1, std::memory_order_relaxed)) <
-           static_cast<int>(round_units_.size())) {
-      DriveUnit(round_units_[static_cast<size_t>(unit)], barrier);
-    }
+    DriveRoundShare(worker_index + 1, gen, round_barrier_);
     // acq_rel: the RMW chain on workers_active_ forms one release sequence, so the
     // driver's final acquire observes every worker's round writes, not just the last
     // decrementer's.
@@ -425,6 +425,34 @@ void LoopGroup::WorkerMain(int worker_index) {
       if (driver_parked_) {
         driver_cv_.notify_one();
       }
+    }
+  }
+}
+
+bool LoopGroup::TryClaim(int unit, uint64_t gen) {
+  std::atomic<uint64_t>& claim = unit_claims_[static_cast<size_t>(unit)];
+  return claim.load(std::memory_order_relaxed) != gen &&
+         claim.exchange(gen, std::memory_order_relaxed) != gen;
+}
+
+void LoopGroup::DriveRoundShare(int thread, uint64_t gen, SimTime barrier) {
+  // Home units first: unit u belongs to thread u % (workers + 1), so in a balanced round
+  // every loop stays on the same thread — and its working set in that core's cache —
+  // round after round. Then steal whatever is still unclaimed, so a thread that drew a
+  // hot unit never leaves the rest of its share waiting. A claim is exclusive (the
+  // exchange stamps the unit with this round's generation), so each unit is still
+  // driven by exactly one thread per round: loops need no locking, and per-loop event
+  // order — and therefore determinism — is untouched. Claiming only decides *which
+  // thread* drives a unit.
+  const int threads = worker_count_ + 1;
+  for (int unit : round_units_) {
+    if (unit % threads == thread && TryClaim(unit, gen)) {
+      DriveUnit(unit, barrier);
+    }
+  }
+  for (int unit : round_units_) {
+    if (TryClaim(unit, gen)) {
+      DriveUnit(unit, barrier);
     }
   }
 }
@@ -467,11 +495,17 @@ void LoopGroup::RunRound(SimTime barrier) {
   if (use_pool && workers_.empty()) {
     StartWorkers();
   }
+  // Hand the round to the pool only when it can pay for the hand-off: one active unit
+  // can't be parallelized, and a round whose predecessor ran fewer than
+  // kMinPooledRoundEvents events costs less to drive here than a publish + wakeup +
+  // barrier wait. The previous round's total is a virtual-time quantity, and which
+  // thread drives a unit never changes its events, so the choice is invisible to
+  // determinism.
+  const bool pooled = use_pool && round_units_.size() > 1 &&
+                      last_round_events_ >= kMinPooledRoundEvents;
   if (round_units_.empty()) {
     metrics_.GetCounter("rounds_idle").Increment();
-  } else if (!use_pool || round_units_.size() == 1) {
-    // One active unit can't be parallelized: drive it here instead of paying a
-    // publish + wakeup + barrier wait to hand it to a worker.
+  } else if (!pooled) {
     for (int unit : round_units_) {
       DriveUnit(unit, barrier);
     }
@@ -482,21 +516,16 @@ void LoopGroup::RunRound(SimTime barrier) {
     // Publish the round: round state first, then the generation bump (release) that
     // spinning workers acquire; parked workers additionally need the notify.
     round_barrier_ = barrier;
-    claim_.store(0, std::memory_order_relaxed);
     workers_active_.store(worker_count_, std::memory_order_relaxed);
-    round_gen_.fetch_add(1, std::memory_order_release);
+    const uint64_t gen = round_gen_.fetch_add(1, std::memory_order_release) + 1;
     {
       std::lock_guard<std::mutex> lock(park_mu_);
       if (parked_workers_ > 0) {
         worker_cv_.notify_all();
       }
     }
-    // The driver is a claimant too: it joins the steal loop instead of idling.
-    int unit;
-    while ((unit = claim_.fetch_add(1, std::memory_order_relaxed)) <
-           static_cast<int>(round_units_.size())) {
-      DriveUnit(round_units_[static_cast<size_t>(unit)], barrier);
-    }
+    // The driver is thread 0 of the round: it drives its share instead of idling.
+    DriveRoundShare(/*thread=*/0, gen, barrier);
     const auto wait_start = std::chrono::steady_clock::now();
     int spins = spin_budget_;
     while (workers_active_.load(std::memory_order_acquire) != 0) {

@@ -1,5 +1,5 @@
-// LoopGroup: N EventLoops advanced in lockstep virtual-time quanta, optionally on N
-// real threads — the parallel execution substrate behind the multi-world benchmarks.
+// LoopGroup: N EventLoops advanced in lockstep virtual-time quanta, optionally on up to
+// N real threads — the parallel execution substrate behind the multi-world benchmarks.
 //
 // Affinity model: everything scheduled on one EventLoop (a SimWorld's network, stores,
 // clients, runners) stays on that loop, and each loop is driven by exactly one thread
@@ -30,16 +30,27 @@
 // produces identical per-loop histories — the seeded tests and consistency oracles rely
 // on this to validate the threaded modes against the deterministic one.
 //
-// Scheduling model: within a round, claim units (normally single loops; temporarily
-// fused groups of loops during a migration window — see FuseLanes) are claimable on a
-// shared index — workers steal the next unclaimed unit instead of owning a static
-// stripe, so one hot loop never serializes the whole round behind a fixed owner.
-// Stealing only changes *which thread* drives a unit, never a loop's own event order,
-// so determinism is untouched. Units with no events due this round are advanced inline
-// by the driver (advancing an eventless loop runs no user code); rounds with at most
-// one active unit skip the worker pool entirely, so quiescent rounds cost no wakeup,
-// no barrier wait, and no allocation. Per-round imbalance is visible through
-// metrics(): events/loop high-water, barrier wait time, and channel depth.
+// Scheduling model: `threads = K` means T = min(K, loops) threads drive rounds in
+// total — the calling (driver) thread plus T - 1 persistent workers. Within a pooled
+// round each thread first drives its home claim units (unit u belongs to thread u mod
+// T; units are normally single loops, temporarily fused groups of loops during a
+// migration window — see FuseLanes), so a loop's working set stays in one core's cache
+// round after round. Then it steals any unit still unclaimed, so one hot loop never
+// serializes the rest of its owner's share. Claiming only changes *which thread*
+// drives a unit, never a loop's own event order, so determinism is untouched. Waiting
+// threads spin for about a millisecond before parking, and skip the spin when the T
+// threads outnumber the cores.
+//
+// Cost gate: handing a round to the pool costs a publish, a wakeup and a barrier wait,
+// which dwarfs a round of a few dozen events. A round therefore goes to the pool only
+// when it has at least two active units AND the previous round ran at least
+// kMinPooledRoundEvents events in total; every other round is driven inline by the
+// driver in unit order. Units with no events due are advanced inline too (advancing an
+// eventless loop runs no user code). Inline rounds cost no wakeup, no barrier wait and
+// no allocation. Because the gate reads a virtual-time quantity and the driving thread
+// never affects events, the event order, barrier schedule and every virtual metric are
+// the same whichever rounds pool. Per-round imbalance is visible through metrics():
+// events/loop high-water, barrier wait time, and channel depth.
 #ifndef ICG_SIM_LOOP_GROUP_H_
 #define ICG_SIM_LOOP_GROUP_H_
 
@@ -60,7 +71,9 @@ class LoopGroup {
  public:
   struct Options {
     // 0 or 1: the deterministic sequential driver (no threads are ever created).
-    // K > 1: loops are driven by min(K, loops) persistent worker threads per round.
+    // K > 1: min(K, loops) threads drive rounds in total — the caller's thread plus
+    // min(K, loops) - 1 persistent workers, started on the first round — and only
+    // rounds that pass the cost gate (see file comment) wake the workers.
     int threads = 0;
     // Width of one synchronization round in virtual microseconds. Smaller quanta mean
     // lower cross-loop latency but more barriers per simulated second. With
@@ -77,10 +90,6 @@ class LoopGroup {
     // Pin each worker thread to a distinct core (Linux only; graceful no-op
     // elsewhere). workers_pinned() reports how many pins actually took.
     bool pin_workers = false;
-    // Barrier spin budget (iterations) before a waiting thread parks on a futex-style
-    // condvar. Spinning is skipped entirely on single-core hardware, where burning the
-    // only core while the other side needs it is pure loss.
-    int spin_iterations = 4000;
     // Keep the full per-round barrier-time history in memory (barrier_history()).
     // barrier_schedule_hash() is always maintained; the history is for tests.
     bool record_barrier_schedule = false;
@@ -157,8 +166,16 @@ class LoopGroup {
 
   bool threaded() const { return options_.threads > 1; }
 
-  // Worker threads actually constructed. Stays 0 forever in sequential mode — the
-  // regression tests assert this, since the sequential driver must never spawn or block.
+  // A threaded round goes to the worker pool only if the previous round processed at
+  // least this many events across all loops; lighter rounds run inline on the driver.
+  // Sized by a sweep: bench/parallel_loops runs 256-511 events per busy round and gains
+  // from the pool; a placed 4-lane deployment at 1,200 ops/s runs < 64 per 1 ms round,
+  // and pooling its rounds of >= 16 events made it 4x slower than driving them inline.
+  static constexpr int64_t kMinPooledRoundEvents = 128;
+
+  // Worker threads actually constructed: min(threads, loops) - 1, since the driver is
+  // one of the K threads. Stays 0 forever in sequential mode — the regression tests
+  // assert this, since the sequential driver must never spawn or block.
   int workers_started() const { return worker_count_; }
 
   // Workers whose core pin actually took (0 unless Options::pin_workers on Linux).
@@ -174,8 +191,9 @@ class LoopGroup {
   // Per-round imbalance and channel observability, updated by the driver at each
   // barrier (driver-thread reads only):
   //   "rounds_threaded"          rounds executed through the worker pool
-  //   "rounds_inline"            threaded-mode rounds with <= 1 active unit, driven by
-  //                              the driver without waking the pool
+  //   "rounds_inline"            threaded-mode rounds driven by the driver without
+  //                              waking the pool: <= 1 active unit, or a previous
+  //                              round below kMinPooledRoundEvents
   //   "rounds_idle"              rounds where no loop had an event due (clock advance
   //                              only — the quiescent case adaptive quanta compress)
   //   "rounds_widened"           adaptive rounds wider than the base quantum
@@ -259,6 +277,11 @@ class LoopGroup {
   void RebuildUnits();
   void StartWorkers();
   void WorkerMain(int worker_index);
+  // Claims `unit` for round `gen`; true if the caller won it (claims are exclusive).
+  bool TryClaim(int unit, uint64_t gen);
+  // Drives thread `thread`'s share of a pooled round (the driver is thread 0, worker w
+  // is thread w + 1): its home units first, then any unit still unclaimed.
+  void DriveRoundShare(int thread, uint64_t gen, SimTime barrier);
   void RecordRoundStats();
   // Counter-as-high-water: bumps `name` up to `candidate` if it is a new maximum.
   void RaiseTo(const char* name, int64_t candidate);
@@ -305,11 +328,12 @@ class LoopGroup {
   // Worker pool (created lazily on the first threaded round).
   int worker_count_ = 0;  // set before any worker starts; constant afterwards
   int spin_budget_ = 0;   // per-wait spin iterations before parking
+  int64_t last_round_events_ = 0;  // events all loops ran last round (the cost gate)
   std::vector<std::thread> workers_;
   std::atomic<int> workers_pinned_{0};
 
   // Spin-then-park barrier. The driver publishes a round by bumping round_gen_
-  // (release) after writing round_barrier_/round_units_/claim_/workers_active_;
+  // (release) after writing round_barrier_/round_units_/workers_active_;
   // workers spin on round_gen_ (acquire) and park on worker_cv_ when the budget runs
   // out. Completion runs through workers_active_: each worker fetch_subs (acq_rel) so
   // the RMW release sequence hands every worker's round writes to the driver's final
@@ -324,10 +348,10 @@ class LoopGroup {
   int parked_workers_ = 0;     // under park_mu_
   bool driver_parked_ = false;  // under park_mu_
 
-  // The work-stealing index: threads fetch_add to claim the next undriven unit of the
-  // round. Reset by the driver before it publishes a round; the driver joins the claim
-  // loop itself instead of idling at the barrier.
-  std::atomic<int> claim_{0};
+  // Per-unit claim stamps, indexed by unit: a thread claims a unit for a round by
+  // exchanging in that round's generation. Generations only grow, so stamps never need
+  // a reset; sized to size() (an upper bound on the unit count) when workers start.
+  std::vector<std::atomic<uint64_t>> unit_claims_;
 };
 
 }  // namespace icg

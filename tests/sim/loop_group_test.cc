@@ -42,7 +42,13 @@ struct Mesh {
   }
 
   void Hop(int at, int remaining, const std::string& tag) {
-    Record(at, tag + ":" + std::to_string(remaining));
+    const std::string hop = tag + ":" + std::to_string(remaining);
+    Record(at, hop);
+    for (int i = 0; i < burst; ++i) {
+      loops[static_cast<size_t>(at)]->Schedule(0, [this, at, hop, i]() {
+        Record(at, hop + "." + std::to_string(i));
+      });
+    }
     if (remaining == 0) return;
     const int next = (at + 1) % group.size();
     group.Post(next, loops[static_cast<size_t>(at)]->Now() + 100,
@@ -62,19 +68,43 @@ struct Mesh {
   LoopGroup group;
   std::vector<std::unique_ptr<EventLoop>> loops;
   std::vector<std::vector<std::string>> traces;
+  // Local events each hop adds on its own loop at the same virtual time: they make a
+  // round heavy without adding cross-loop traffic.
+  int burst = 0;
 };
 
-std::string RunMesh(int n_loops, int threads) {
+// A burst at which one hop alone outweighs the pool's cost gate: from the second round
+// on, every round with two or more busy loops goes to the workers.
+constexpr int kHeavyBurst = static_cast<int>(LoopGroup::kMinPooledRoundEvents);
+
+struct MeshRun {
+  std::string fingerprint;
+  int64_t rounds_threaded = 0;
+  int64_t rounds_inline = 0;
+  int64_t barrier_wait_ns = 0;
+};
+
+MeshRun RunMeshWith(int n_loops, int threads, int burst) {
   LoopGroup::Options options;
   options.threads = threads;
   options.quantum = 500;
   Mesh mesh(n_loops, options);
+  mesh.burst = burst;
   for (int i = 0; i < n_loops; ++i) {
     mesh.StartChain(i, /*hops=*/20, "chain" + std::to_string(i));
   }
   mesh.group.RunAll();
   EXPECT_EQ(mesh.group.pending_messages(), 0u);
-  return mesh.Fingerprint();
+  MeshRun run;
+  run.fingerprint = mesh.Fingerprint();
+  run.rounds_threaded = mesh.group.metrics().Value("rounds_threaded");
+  run.rounds_inline = mesh.group.metrics().Value("rounds_inline");
+  run.barrier_wait_ns = mesh.group.metrics().Value("barrier_wait_ns");
+  return run;
+}
+
+std::string RunMesh(int n_loops, int threads, int burst = 0) {
+  return RunMeshWith(n_loops, threads, burst).fingerprint;
 }
 
 TEST(LoopGroup, AttachAssignsIndices) {
@@ -148,24 +178,53 @@ TEST(LoopGroup, SequentialMatchesSingleThreadMode) {
 }
 
 TEST(LoopGroup, ThreadedIsBitForBitDeterministic) {
-  const std::string sequential = RunMesh(4, /*threads=*/0);
+  // Heavy rounds, so the worker pool actually drives them.
+  const std::string sequential = RunMesh(4, /*threads=*/0, kHeavyBurst);
   // Repeat the threaded widths a few times: any nondeterministic interleaving leaking
   // into delivery order would eventually produce a different fingerprint.
   for (int attempt = 0; attempt < 5; ++attempt) {
-    EXPECT_EQ(RunMesh(4, /*threads=*/2), sequential) << "threads=2 attempt " << attempt;
-    EXPECT_EQ(RunMesh(4, /*threads=*/4), sequential) << "threads=4 attempt " << attempt;
+    EXPECT_EQ(RunMesh(4, /*threads=*/2, kHeavyBurst), sequential)
+        << "threads=2 attempt " << attempt;
+    EXPECT_EQ(RunMesh(4, /*threads=*/4, kHeavyBurst), sequential)
+        << "threads=4 attempt " << attempt;
   }
 }
 
 TEST(LoopGroup, ThreadedManyLoopsFewThreads) {
-  // More loops than workers: work stealing must still cover every loop.
-  EXPECT_EQ(RunMesh(7, /*threads=*/3), RunMesh(7, /*threads=*/0));
+  // More loops than threads: work stealing must still cover every loop.
+  EXPECT_EQ(RunMesh(7, /*threads=*/3, kHeavyBurst),
+            RunMesh(7, /*threads=*/0, kHeavyBurst));
 }
 
 TEST(LoopGroup, ThreadedWidthEight) {
-  // Width 8: as many workers as loops hammering the steal index — the TSan job runs
-  // this to shake races out of claim_/barrier signalling at full contention.
-  EXPECT_EQ(RunMesh(8, /*threads=*/8), RunMesh(8, /*threads=*/0));
+  // Width 8: as many threads as loops racing for claim stamps — the TSan job runs this
+  // to shake races out of claiming and barrier signalling at full contention.
+  EXPECT_EQ(RunMesh(8, /*threads=*/8, kHeavyBurst),
+            RunMesh(8, /*threads=*/0, kHeavyBurst));
+}
+
+TEST(LoopGroup, HeavyRoundsRunOnThePoolBitForBit) {
+  // Rounds above the cost gate go to the workers, and the pool must not change a
+  // single event: the fingerprint matches sequential at every width. This is the test
+  // that keeps the pool under TSan, since small oracle rounds may all run inline.
+  const MeshRun sequential = RunMeshWith(4, /*threads=*/0, kHeavyBurst);
+  EXPECT_EQ(sequential.rounds_threaded, 0);
+  for (const int threads : {2, 4, 8}) {
+    const MeshRun threaded = RunMeshWith(4, threads, kHeavyBurst);
+    EXPECT_EQ(threaded.fingerprint, sequential.fingerprint) << "threads=" << threads;
+    EXPECT_GT(threaded.rounds_threaded, 0) << "threads=" << threads;
+  }
+}
+
+TEST(LoopGroup, LightRoundsStayInlineAtWidthFour) {
+  // Four busy lanes, one event each per round: far below the cost gate, so the driver
+  // runs every round itself and never waits at a barrier — the same history as
+  // sequential, without the hand-off.
+  const MeshRun light = RunMeshWith(4, /*threads=*/4, /*burst=*/0);
+  EXPECT_EQ(light.fingerprint, RunMesh(4, /*threads=*/0));
+  EXPECT_EQ(light.rounds_threaded, 0);
+  EXPECT_GT(light.rounds_inline, 0);
+  EXPECT_EQ(light.barrier_wait_ns, 0);
 }
 
 TEST(LoopGroup, HardwareThreadsIsPositive) {
@@ -190,18 +249,20 @@ TEST(LoopGroup, SequentialModeNeverStartsWorkers) {
 }
 
 TEST(LoopGroup, ThreadedStartsBoundedWorkers) {
-  // min(K, loops) workers, created lazily on the first threaded round. Chains on every
-  // loop keep several claim units active per round, so the pool actually runs rounds.
+  // min(K, loops) - 1 workers (the driver is one of the K threads), created lazily on
+  // the first threaded round. Heavy chains on every loop keep several claim units
+  // active per round above the cost gate, so the pool actually runs rounds.
   LoopGroup::Options options;
   options.threads = 8;
   options.quantum = 500;
   Mesh mesh(3, options);
+  mesh.burst = kHeavyBurst;
   EXPECT_EQ(mesh.group.workers_started(), 0);  // lazy: nothing ran yet
   for (int i = 0; i < 3; ++i) {
     mesh.StartChain(i, /*hops=*/6, "chain" + std::to_string(i));
   }
   mesh.group.RunAll();
-  EXPECT_EQ(mesh.group.workers_started(), 3);
+  EXPECT_EQ(mesh.group.workers_started(), 2);
   EXPECT_GT(mesh.group.metrics().Value("rounds_threaded"), 0);
 }
 
@@ -215,7 +276,7 @@ TEST(LoopGroup, SingleActiveLaneRoundsSkipThePool) {
   Mesh mesh(3, options);
   mesh.StartChain(0, /*hops=*/6, "chain0");
   mesh.group.RunAll();
-  EXPECT_EQ(mesh.group.workers_started(), 3);
+  EXPECT_EQ(mesh.group.workers_started(), 2);
   EXPECT_EQ(mesh.group.metrics().Value("rounds_threaded"), 0);
   EXPECT_GT(mesh.group.metrics().Value("rounds_inline"), 0);
   EXPECT_EQ(mesh.group.metrics().Value("barrier_wait_ns"), 0);
@@ -236,6 +297,7 @@ TEST(LoopGroup, RoundStatsTrackWorkAndChannelTraffic) {
   options.threads = 2;
   options.quantum = 500;
   Mesh mesh(4, options);
+  mesh.burst = kHeavyBurst;  // rounds above the cost gate, so the pool runs some
   for (int i = 0; i < 4; ++i) {
     mesh.StartChain(i, /*hops=*/20, "chain" + std::to_string(i));
   }
@@ -253,12 +315,14 @@ TEST(LoopGroup, RoundStatsTrackWorkAndChannelTraffic) {
 }
 
 // Pulsed workload for the adaptive-quantum tests: a hop burst at t=0 and another after
-// a long quiescent gap. Returns {fingerprint, rounds, schedule hash, barrier history}.
+// a long quiescent gap, with heavy hops so the threaded widths pool the busy rounds.
+// Returns {fingerprint, rounds, schedule hash, barrier history, pooled rounds}.
 struct AdaptiveRun {
   std::string fingerprint;
   int64_t rounds = 0;
   uint64_t schedule_hash = 0;
   std::vector<SimTime> barriers;
+  int64_t rounds_threaded = 0;
 };
 
 AdaptiveRun RunPulsedMesh(int threads, bool adaptive) {
@@ -269,6 +333,7 @@ AdaptiveRun RunPulsedMesh(int threads, bool adaptive) {
   options.max_quantum = 20000;
   options.record_barrier_schedule = true;
   Mesh mesh(4, options);
+  mesh.burst = kHeavyBurst;
   for (int i = 0; i < 4; ++i) {
     mesh.StartChain(i, /*hops=*/12, "burst0-" + std::to_string(i));
   }
@@ -281,6 +346,7 @@ AdaptiveRun RunPulsedMesh(int threads, bool adaptive) {
   run.rounds = mesh.group.rounds();
   run.schedule_hash = mesh.group.barrier_schedule_hash();
   run.barriers = mesh.group.barrier_history();
+  run.rounds_threaded = mesh.group.metrics().Value("rounds_threaded");
   return run;
 }
 
@@ -297,6 +363,47 @@ TEST(LoopGroup, AdaptiveQuantumScheduleIsIdenticalAcrossWidths) {
     EXPECT_EQ(threaded.barriers, sequential.barriers) << "threads=" << threads;
     EXPECT_EQ(threaded.schedule_hash, sequential.schedule_hash)
         << "threads=" << threads;
+    EXPECT_GT(threaded.rounds_threaded, 0) << "threads=" << threads;
+  }
+}
+
+TEST(LoopGroup, WidenedHeavyRoundRunsOnThePoolBitForBit) {
+  // Heavy local work on every loop at t=0 and again at t=5000. With adaptive quanta the
+  // second pulse is reached by one widened round [500, 5000] that follows a heavy
+  // round, so it is the one round the cost gate sends to the pool: the widened-round
+  // schedule and the pool must compose without changing an event or a barrier.
+  auto run = [](int threads) {
+    LoopGroup::Options options;
+    options.threads = threads;
+    options.quantum = 500;
+    options.adaptive_quantum = true;
+    options.max_quantum = 20000;
+    options.record_barrier_schedule = true;
+    Mesh mesh(4, options);
+    for (int i = 0; i < 4; ++i) {
+      for (const SimDuration at : {SimDuration{0}, SimDuration{5000}}) {
+        for (int e = 0; e < kHeavyBurst; ++e) {
+          mesh.loops[static_cast<size_t>(i)]->Schedule(at, [&mesh, i, e]() {
+            mesh.Record(i, "pulse." + std::to_string(e));
+          });
+        }
+      }
+    }
+    mesh.group.RunUntil(5000);
+    AdaptiveRun result;
+    result.fingerprint = mesh.Fingerprint();
+    result.barriers = mesh.group.barrier_history();
+    result.rounds_threaded = mesh.group.metrics().Value("rounds_threaded");
+    EXPECT_EQ(mesh.group.metrics().Value("rounds_widened"), 1) << "threads=" << threads;
+    return result;
+  };
+  const AdaptiveRun sequential = run(/*threads=*/0);
+  EXPECT_EQ(sequential.barriers, (std::vector<SimTime>{500, 5000}));
+  for (const int threads : {2, 4, 8}) {
+    const AdaptiveRun threaded = run(threads);
+    EXPECT_EQ(threaded.fingerprint, sequential.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(threaded.barriers, sequential.barriers) << "threads=" << threads;
+    EXPECT_EQ(threaded.rounds_threaded, 1) << "threads=" << threads;
   }
 }
 
@@ -358,11 +465,13 @@ TEST(LoopGroup, ResetMetricsZeroesCountersButNotClockOrSchedule) {
   EXPECT_GE(mesh.group.metrics().Value("channel_messages"), 4);
 }
 
-std::string RunFusedMesh(int threads) {
+// Heavy hops, so the threaded widths drive the fused unit through the pool.
+MeshRun RunFusedMesh(int threads) {
   LoopGroup::Options options;
   options.threads = threads;
   options.quantum = 500;
   Mesh mesh(4, options);
+  mesh.burst = kHeavyBurst;
   for (int i = 0; i < 4; ++i) {
     mesh.StartChain(i, /*hops=*/20, "chain" + std::to_string(i));
   }
@@ -371,19 +480,28 @@ std::string RunFusedMesh(int threads) {
   // expire while traffic is still flowing.
   mesh.group.FuseLanes({1, 3}, mesh.group.Now() + 3000);
   EXPECT_EQ(mesh.group.active_fusions(), 1);
+  const int64_t pooled_before = mesh.group.metrics().Value("rounds_threaded");
   mesh.group.RunUntil(4000);
+  MeshRun run;
+  // Rounds pooled while the fusion window was open.
+  run.rounds_threaded = mesh.group.metrics().Value("rounds_threaded") - pooled_before;
   mesh.group.RunAll();
   EXPECT_EQ(mesh.group.active_fusions(), 0);  // dissolved at the expiry barrier
-  return mesh.Fingerprint();
+  run.fingerprint = mesh.Fingerprint();
+  return run;
 }
 
 TEST(LoopGroup, FusedLanesAreInvisibleToDeterminism) {
   // A fused unit is driven by one thread in ascending slot order — the sequential
   // order — so fusing lanes must not change any event history at any width.
-  const std::string sequential = RunFusedMesh(/*threads=*/0);
-  EXPECT_EQ(RunFusedMesh(/*threads=*/2), sequential);
-  EXPECT_EQ(RunFusedMesh(/*threads=*/4), sequential);
-  EXPECT_EQ(sequential, RunMesh(4, /*threads=*/0));  // and matches the unfused run
+  const MeshRun sequential = RunFusedMesh(/*threads=*/0);
+  for (const int threads : {2, 4}) {
+    const MeshRun threaded = RunFusedMesh(threads);
+    EXPECT_EQ(threaded.fingerprint, sequential.fingerprint) << "threads=" << threads;
+    EXPECT_GT(threaded.rounds_threaded, 0) << "threads=" << threads;
+  }
+  // And it matches the unfused run.
+  EXPECT_EQ(sequential.fingerprint, RunMesh(4, /*threads=*/0, kHeavyBurst));
 }
 
 TEST(LoopGroup, PinWorkersIsAGracefulOptIn) {
