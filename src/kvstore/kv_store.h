@@ -1,0 +1,122 @@
+// A replica's last-writer-wins store: the key -> VersionedValue map behind KvReplica.
+//
+// Entries live in one dense vector in first-insertion order. An open-addressing index
+// finds a key's entry after probing one or two cache lines of slots, where a tree walks
+// down ~log2(n) nodes: each 8-byte slot packs a 32-bit hash tag with the entry's
+// position + 1 (0 marks an empty slot), collisions probe linearly, and the index doubles
+// before it passes 7/8 full.
+//
+// There is no single-key erase: a replica only ever drops its whole store (Crash(),
+// SnapshotManager::Load), so the index needs no tombstones, and an overwrite keeps the
+// entry where it was. Iteration therefore follows first-insertion order, a pure function
+// of the replica's history. The hash only places index slots; every walk over the store
+// (snapshots, bootstrap dumps, recovery) follows the entry vector, so no output depends
+// on the hash function.
+#ifndef ICG_KVSTORE_KV_STORE_H_
+#define ICG_KVSTORE_KV_STORE_H_
+
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "src/kvstore/versioned_value.h"
+
+namespace icg {
+
+class KvStore {
+ public:
+  using Entry = std::pair<std::string, VersionedValue>;
+
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+  // First-insertion order; overwriting a key keeps its position.
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+
+  // The value stored under `key`, or null. A returned pointer stays valid only until
+  // the next insert (TryEmplace of an absent key) or clear(): inserting may reallocate
+  // the entry vector.
+  const VersionedValue* Find(std::string_view key) const {
+    const uint64_t slot = slots_[Probe(key, Hash(key))];
+    return slot == 0 ? nullptr : &entries_[(slot & kPositionMask) - 1].second;
+  }
+  VersionedValue* Find(std::string_view key) {
+    return const_cast<VersionedValue*>(std::as_const(*this).Find(key));
+  }
+
+  // Finds `key` or appends it with a default VersionedValue; `second` is true when it
+  // was inserted. One probe either way. The pointer follows Find's validity rule.
+  std::pair<VersionedValue*, bool> TryEmplace(std::string_view key) {
+    if ((entries_.size() + 1) * 8 > slots_.size() * 7) {
+      Grow();
+    }
+    const uint64_t hash = Hash(key);
+    const size_t at = Probe(key, hash);
+    if (slots_[at] != 0) {
+      return {&entries_[(slots_[at] & kPositionMask) - 1].second, false};
+    }
+    assert(entries_.size() < kPositionMask);
+    entries_.emplace_back(std::string(key), VersionedValue{});
+    slots_[at] = (hash >> 32) << 32 | entries_.size();
+    return {&entries_.back().second, true};
+  }
+
+  // Drops every entry; the index keeps its size.
+  void clear() {
+    entries_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+  // Equal entries in equal order.
+  friend bool operator==(const KvStore& a, const KvStore& b) { return a.entries_ == b.entries_; }
+
+ private:
+  static constexpr size_t kMinSlots = 16;  // a power of two
+  static constexpr uint64_t kPositionMask = 0xffffffffu;
+
+  static uint64_t Hash(std::string_view key) { return std::hash<std::string_view>{}(key); }
+
+  // The slot holding `key`, or the empty slot that ends its probe run. The low hash bits
+  // pick the home slot and the high 32 bits are the tag, so the two are independent.
+  size_t Probe(std::string_view key, uint64_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    const uint64_t tag = hash >> 32;
+    size_t at = hash & mask;
+    while (slots_[at] != 0) {
+      const uint64_t slot = slots_[at];
+      if ((slot >> 32) == tag && entries_[(slot & kPositionMask) - 1].first == key) {
+        return at;
+      }
+      at = (at + 1) & mask;
+    }
+    return at;
+  }
+
+  void Grow() {
+    std::vector<uint64_t> slots(slots_.size() * 2, 0);
+    const size_t mask = slots.size() - 1;
+    for (size_t e = 0; e < entries_.size(); ++e) {
+      const uint64_t hash = Hash(entries_[e].first);
+      size_t at = hash & mask;
+      while (slots[at] != 0) {
+        at = (at + 1) & mask;
+      }
+      slots[at] = (hash >> 32) << 32 | (e + 1);
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(kMinSlots, 0);
+};
+
+}  // namespace icg
+
+#endif  // ICG_KVSTORE_KV_STORE_H_

@@ -228,9 +228,10 @@ void KvReplica::SendReadResponse(const PendingRead& read,
     bytes = result.WireBytes();
   }
   auto respond_fn = read.respond;
-  network_->Send(id_, read.client_id, bytes, [respond_fn, result, is_final, kind]() {
-    respond_fn(result, is_final, kind);
-  });
+  network_->Send(id_, read.client_id, bytes,
+                 [respond_fn, result = std::move(result), is_final, kind]() mutable {
+                   respond_fn(std::move(result), is_final, kind);
+                 });
 }
 
 std::optional<VersionedValue> KvReplica::MergedResult(const PendingRead& read) const {
@@ -438,8 +439,8 @@ void KvReplica::MaybeFinishMultiRead(uint64_t request_id) {
 }
 
 std::vector<std::optional<VersionedValue>> KvReplica::MergedMultiResult(
-    const PendingMultiRead& read) const {
-  std::vector<std::optional<VersionedValue>> merged = read.local;
+    PendingMultiRead& read) {
+  std::vector<std::optional<VersionedValue>> merged = std::move(read.local);
   for (size_t p = 0; p < read.peer_results.size(); ++p) {
     if (!read.peer_answered[p]) {
       continue;
@@ -459,7 +460,9 @@ void KvReplica::FinishMultiRead(PendingMultiRead& read) {
   read.done = true;
   const auto merged = MergedMultiResult(read);
 
-  // Per-key read repair: bring stale copies (local and peers) up to the merged state.
+  // Per-key read repair of the coordinator's own copy only: ApplyLww brings each stale
+  // local entry up to the merged state. Stale peers are not repaired here, unlike the
+  // single-key path (IssueReadRepair).
   if (config_->read_repair) {
     for (size_t i = 0; i < merged.size(); ++i) {
       if (!merged[i].has_value()) {
@@ -496,9 +499,10 @@ void KvReplica::SendMultiReadResponse(const PendingMultiRead& read,
     bytes = result.WireBytes() + 8 * static_cast<int64_t>(values.size());
   }
   auto respond_fn = read.respond;
-  network_->Send(id_, read.client_id, bytes, [respond_fn, result, is_final, kind]() {
-    respond_fn(result, is_final, kind);
-  });
+  network_->Send(id_, read.client_id, bytes,
+                 [respond_fn, result = std::move(result), is_final, kind]() mutable {
+                   respond_fn(std::move(result), is_final, kind);
+                 });
 }
 
 void KvReplica::HandlePeerMultiRead(
@@ -510,7 +514,7 @@ void KvReplica::HandlePeerMultiRead(
   const auto batch_extra =
       config_->multiread_per_key_service * static_cast<SimDuration>(keys.size() - 1);
   service_.Submit(config_->peer_read_service + batch_extra,
-                  [this, requester, keys, request_id, reply = std::move(reply)]() {
+                  [this, requester, keys, request_id, reply = std::move(reply)]() mutable {
                     std::vector<std::optional<VersionedValue>> values;
                     values.reserve(keys.size());
                     int64_t bytes = kResponseHeaderBytes;
@@ -520,9 +524,11 @@ void KvReplica::HandlePeerMultiRead(
                         bytes += static_cast<int64_t>(values.back()->value.size()) + 8;
                       }
                     }
-                    network_->Send(id_, requester, bytes, [reply, request_id, values]() {
-                      reply(request_id, values);
-                    });
+                    network_->Send(id_, requester, bytes,
+                                   [reply = std::move(reply), request_id,
+                                    values = std::move(values)]() mutable {
+                                     reply(request_id, std::move(values));
+                                   });
                   });
 }
 
@@ -545,9 +551,9 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
                                 : Version{static_cast<SimTime>(write_seq_), id_};
     VersionedValue vv{std::move(value), version};
 
-    auto existing = storage_.find(key);
-    if (existing == storage_.end() || existing->second.OlderThan(version)) {
-      storage_[key] = vv;
+    const auto [stored, inserted] = storage_.TryEmplace(key);
+    if (inserted || stored->OlderThan(version)) {
+      *stored = vv;
     }
 
     // WAL-before-ack: a coordinated write is logged and fsynced before the client hears
@@ -632,9 +638,9 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
       ack.key_versions.push_back(version);
       VersionedValue vv{std::move(values[i]), version};
 
-      auto existing = storage_.find(keys[i]);
-      if (existing == storage_.end() || existing->second.OlderThan(version)) {
-        storage_[keys[i]] = vv;
+      const auto [stored, inserted] = storage_.TryEmplace(keys[i]);
+      if (inserted || stored->OlderThan(version)) {
+        *stored = vv;
       }
       if (wal_ != nullptr) {
         cohort_lsn = wal_->Append(keys[i], vv.value, version);
@@ -681,13 +687,15 @@ void KvReplica::HandlePeerRead(NodeId requester, const std::string& key, uint64_
     return;
   }
   service_.Submit(config_->peer_read_service, [this, requester, key, request_id,
-                                               reply = std::move(reply)]() {
-    const auto value = LocalGet(key);
+                                               reply = std::move(reply)]() mutable {
+    auto value = LocalGet(key);
     const int64_t bytes =
         kResponseHeaderBytes +
         (value.has_value() ? static_cast<int64_t>(value->value.size()) : 0);
     network_->Send(id_, requester, bytes,
-                   [reply, request_id, value]() { reply(request_id, value); });
+                   [reply = std::move(reply), request_id, value = std::move(value)]() mutable {
+                     reply(request_id, std::move(value));
+                   });
   });
 }
 
@@ -732,16 +740,16 @@ void KvReplica::HandleBootstrap(
     }
     metrics_.GetCounter("bootstraps_served").Increment();
     network_->Send(id_, requester, bytes,
-                   [deliver, dump = std::move(dump)]() { deliver(dump); });
+                   [deliver, dump = std::move(dump)]() mutable { deliver(std::move(dump)); });
   });
 }
 
 bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming, bool log) {
-  auto existing = storage_.find(key);
-  if (existing != storage_.end() && !existing->second.OlderThan(incoming.version)) {
+  const auto [stored, inserted] = storage_.TryEmplace(key);
+  if (!inserted && !stored->OlderThan(incoming.version)) {
     return false;
   }
-  storage_[key] = incoming;
+  *stored = incoming;
   if (log && wal_ != nullptr) {
     // Lazy append: replicated/repaired state is logged but not fsynced — the unsynced
     // tail is recoverable from the peers that sent it, and it is what a torn-tail crash
@@ -852,12 +860,11 @@ void KvReplica::Recover() {
       metrics_.GetCounter("recovery_pushes").Increment();
       for (KvReplica* peer : peers_) {
         for (const std::string& key : keys) {
-          const auto it = storage_.find(key);
-          if (it == storage_.end()) continue;
-          const VersionedValue& vv = it->second;
+          const VersionedValue* vv = storage_.Find(key);
+          if (vv == nullptr) continue;
           const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                                static_cast<int64_t>(vv.value.size());
-          network_->Send(id_, peer->id(), bytes, [peer, key = key, vv = vv]() {
+                                static_cast<int64_t>(vv->value.size());
+          network_->Send(id_, peer->id(), bytes, [peer, key = key, vv = *vv]() {
             peer->HandleReplicate(key, vv);
           });
         }
@@ -944,20 +951,21 @@ void KvReplica::StartBootstrap(size_t attempt) {
 }
 
 std::optional<VersionedValue> KvReplica::LocalGet(const std::string& key) const {
-  auto it = storage_.find(key);
-  if (it == storage_.end()) {
+  const VersionedValue* vv = storage_.Find(key);
+  if (vv == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *vv;
 }
 
 void KvReplica::LocalPut(const std::string& key, std::string value, Version version) {
-  storage_[key] = VersionedValue{std::move(value), version};
+  VersionedValue* stored = storage_.TryEmplace(key).first;
+  *stored = VersionedValue{std::move(value), version};
   if (wal_ != nullptr) {
     // Preloads are part of the durable dataset: log + sync so a crashed replica's
     // recovered state includes them without leaning on the bootstrap. They are applied
     // at every replica by construction, so they are cluster-visible immediately.
-    replicated_lsn_ = std::max(replicated_lsn_, wal_->Append(key, storage_[key].value, version));
+    replicated_lsn_ = std::max(replicated_lsn_, wal_->Append(key, stored->value, version));
     wal_->Sync();
   }
 }

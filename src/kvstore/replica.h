@@ -15,6 +15,12 @@
 // which is the source of CC's throughput drop — and later sends the final response. With
 // `confirmations` enabled (the *CC2 variant), a final matching the preliminary digest is
 // replaced by a small confirmation message.
+//
+// Each replica keeps its LWW state in a KvStore (kv_store.h): entries in first-insertion
+// order behind a flat hash index, so a local read probes one or two cache lines of index
+// instead of walking a tree. Snapshots, bootstrap dumps and recovery all walk the store
+// in that insertion order, which is a pure function of the replica's history, never of
+// the hash function.
 #ifndef ICG_KVSTORE_REPLICA_H_
 #define ICG_KVSTORE_REPLICA_H_
 
@@ -32,6 +38,7 @@
 #include "src/common/status.h"
 #include "src/correctables/binding.h"
 #include "src/correctables/operation.h"
+#include "src/kvstore/kv_store.h"
 #include "src/kvstore/snapshot.h"
 #include "src/kvstore/versioned_value.h"
 #include "src/kvstore/wal.h"
@@ -202,6 +209,7 @@ class KvReplica {
   std::optional<VersionedValue> LocalGet(const std::string& key) const;
   void LocalPut(const std::string& key, std::string value, Version version);
   size_t LocalSize() const { return storage_.size(); }
+  const KvStore& LocalStore() const { return storage_; }
 
  private:
   struct PendingRead {
@@ -246,8 +254,9 @@ class KvReplica {
 
   void MaybeFinishMultiRead(uint64_t request_id);
   void FinishMultiRead(PendingMultiRead& read);
-  std::vector<std::optional<VersionedValue>> MergedMultiResult(
-      const PendingMultiRead& read) const;
+  // Per-key LWW merge of all responses. Moves from read.local: the pending read is
+  // erased right after its final response.
+  static std::vector<std::optional<VersionedValue>> MergedMultiResult(PendingMultiRead& read);
   void SendMultiReadResponse(const PendingMultiRead& read,
                              const std::vector<std::optional<VersionedValue>>& values,
                              bool is_final, ResponseKind kind);
@@ -274,7 +283,10 @@ class KvReplica {
   MetricRegistry metrics_;
 
   std::vector<KvReplica*> peers_;  // other replicas, nearest first
-  std::map<std::string, VersionedValue> storage_;
+  // The LWW store: a dense entry vector in first-insertion order plus a flat hash index
+  // (kv_store.h). Internal callers look a key up once through Find/TryEmplace and never
+  // hold the returned pointer across another insert.
+  KvStore storage_;
   std::map<uint64_t, PendingRead> pending_reads_;
   std::map<uint64_t, PendingMultiRead> pending_multi_reads_;
   uint64_t next_request_id_ = 1;

@@ -1,6 +1,7 @@
 #include "src/kvstore/snapshot.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "src/common/digest.h"
 
@@ -33,8 +34,7 @@ uint64_t GetU64(const std::string& in, size_t at) {
 
 }  // namespace
 
-void SnapshotManager::Take(const std::map<std::string, VersionedValue>& storage,
-                           uint64_t through_lsn) {
+void SnapshotManager::Take(const KvStore& storage, uint64_t through_lsn) {
   std::string image;
   PutU64(image, through_lsn);
   PutU64(image, storage.size());
@@ -53,8 +53,7 @@ void SnapshotManager::Take(const std::map<std::string, VersionedValue>& storage,
   snapshots_taken_ += 1;
 }
 
-bool SnapshotManager::Load(std::map<std::string, VersionedValue>* out,
-                           uint64_t* through_lsn) const {
+bool SnapshotManager::Load(KvStore* out, uint64_t* through_lsn) const {
   out->clear();
   *through_lsn = 0;
   if (image_.size() < 24) {
@@ -83,10 +82,9 @@ bool SnapshotManager::Load(std::map<std::string, VersionedValue>* out,
       out->clear();
       return false;
     }
-    std::string key = image_.substr(at, key_len);
     vv.value = image_.substr(at + key_len, value_len);
+    *out->TryEmplace(std::string_view(image_).substr(at, key_len)).first = std::move(vv);
     at += key_len + value_len;
-    out->emplace(std::move(key), std::move(vv));
   }
   *through_lsn = covered;
   return true;

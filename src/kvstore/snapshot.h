@@ -1,10 +1,12 @@
 // Snapshot manager for a replica's LWW store, paired with the WAL.
 //
-// A snapshot is a checksummed serialization of the whole versioned key-value map plus
-// the LSN of the last WAL record it covers. Like the WAL device, the snapshot "file"
-// is a byte buffer that survives KvReplica::Crash(). Writing is modeled as atomic
-// (write-temp-then-rename in a real system): a snapshot either exists completely and
-// validates, or the previous one still does — there is no torn-snapshot state.
+// A snapshot is a checksummed serialization of the whole versioned key-value store plus
+// the LSN of the last WAL record it covers. The image lists entries in store order (the
+// KvStore's first-insertion order), so loading it rebuilds the same iteration order.
+// Like the WAL device, the snapshot "file" is a byte buffer that survives
+// KvReplica::Crash(). Writing is modeled as atomic (write-temp-then-rename in a real
+// system): a snapshot either exists completely and validates, or the previous one still
+// does — there is no torn-snapshot state.
 //
 // Recovery order is the classical one: load the newest valid snapshot, then replay the
 // WAL strictly after its covered LSN. After a snapshot is taken the WAL prefix it
@@ -15,11 +17,10 @@
 #define ICG_KVSTORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "src/common/types.h"
-#include "src/kvstore/versioned_value.h"
+#include "src/kvstore/kv_store.h"
 
 namespace icg {
 
@@ -29,12 +30,12 @@ class SnapshotManager {
 
   // Serializes `storage` and records that WAL records with lsn <= through_lsn are
   // covered. Atomic: replaces any previous snapshot.
-  void Take(const std::map<std::string, VersionedValue>& storage, uint64_t through_lsn);
+  void Take(const KvStore& storage, uint64_t through_lsn);
 
   // Loads the snapshot into `out` (replacing its contents) and reports the covered
   // LSN. Returns false — leaving `out` empty and `through_lsn` 0 — when no snapshot
   // exists or the checksum fails.
-  bool Load(std::map<std::string, VersionedValue>* out, uint64_t* through_lsn) const;
+  bool Load(KvStore* out, uint64_t* through_lsn) const;
 
   bool HasSnapshot() const { return !image_.empty(); }
 

@@ -1,0 +1,126 @@
+// KvStore: lookups through index growth, overwrite-in-place, first-insertion iteration
+// order, absent keys (empty store, after clear(), inside a probe run) and string_view
+// lookups.
+#include "src/kvstore/kv_store.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+namespace icg {
+namespace {
+
+void Set(KvStore& store, std::string_view key, VersionedValue vv) {
+  *store.TryEmplace(key).first = std::move(vv);
+}
+
+std::vector<std::string> Keys(const KvStore& store) {
+  std::vector<std::string> keys;
+  for (const auto& [key, vv] : store) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(KvStoreTest, GrowsThroughManyDoublings) {
+  constexpr int kKeys = 200'000;
+  KvStore store;
+  for (int i = 0; i < kKeys; ++i) {
+    const auto [stored, inserted] = store.TryEmplace("key" + std::to_string(i));
+    ASSERT_TRUE(inserted) << i;
+    *stored = VersionedValue{"v" + std::to_string(i), Version{i + 1, 1}};
+  }
+  EXPECT_EQ(store.size(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    const VersionedValue* found = store.Find("key" + std::to_string(i));
+    ASSERT_NE(found, nullptr) << i;
+    EXPECT_EQ(found->value, "v" + std::to_string(i));
+    EXPECT_EQ(found->version, (Version{i + 1, 1}));
+  }
+  EXPECT_EQ(store.Find("key" + std::to_string(kKeys)), nullptr);
+}
+
+TEST(KvStoreTest, OverwriteKeepsSizeAndPosition) {
+  KvStore store;
+  Set(store, "a", VersionedValue{"1", Version{1, 1}});
+  Set(store, "b", VersionedValue{"2", Version{2, 1}});
+  Set(store, "c", VersionedValue{"3", Version{3, 1}});
+  const auto [stored, inserted] = store.TryEmplace("b");
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(stored->value, "2");
+  *stored = VersionedValue{"2b", Version{4, 1}};
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(Keys(store), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(std::next(store.begin())->second.value, "2b");
+}
+
+TEST(KvStoreTest, IterationFollowsFirstInsertion) {
+  KvStore store;
+  const std::vector<std::string> order = {"m", "z", "a", "q", "b", "y"};
+  for (const auto& key : order) {
+    Set(store, key, VersionedValue{key, Version{1, 1}});
+  }
+  Set(store, "a", VersionedValue{"again", Version{2, 1}});  // not a second insertion
+  EXPECT_EQ(Keys(store), order);
+}
+
+TEST(KvStoreTest, AbsentKeysFindNothing) {
+  KvStore store;
+  EXPECT_EQ(store.Find("k"), nullptr);
+  EXPECT_TRUE(store.empty());
+
+  Set(store, "k", VersionedValue{"v", Version{1, 1}});
+  ASSERT_NE(store.Find("k"), nullptr);
+  store.clear();
+  EXPECT_EQ(store.Find("k"), nullptr);
+  EXPECT_TRUE(store.empty());
+  EXPECT_TRUE(store.TryEmplace("k").second);  // usable again after clear()
+}
+
+TEST(KvStoreTest, AbsentKeyInsideADenseProbeRun) {
+  // Keys whose hashes share their low 16 bits share a home slot at every index size up
+  // to 65536 slots, so they fill one contiguous probe run. A key with the same low bits
+  // that was never inserted must walk the whole run and come back empty.
+  std::vector<std::string> colliding;
+  const uint64_t home = std::hash<std::string_view>{}("seed") & 0xffff;
+  for (int i = 0; colliding.size() < 12; ++i) {
+    std::string key = "c" + std::to_string(i);
+    if ((std::hash<std::string_view>{}(key) & 0xffff) == home) {
+      colliding.push_back(std::move(key));
+    }
+  }
+  const std::string absent = colliding.back();
+  colliding.pop_back();
+
+  KvStore store;
+  for (size_t i = 0; i < colliding.size(); ++i) {
+    Set(store, colliding[i], VersionedValue{std::to_string(i), Version{1, 1}});
+  }
+  EXPECT_EQ(store.Find(absent), nullptr);
+  for (size_t i = 0; i < colliding.size(); ++i) {
+    const VersionedValue* found = store.Find(colliding[i]);
+    ASSERT_NE(found, nullptr) << colliding[i];
+    EXPECT_EQ(found->value, std::to_string(i));
+  }
+}
+
+TEST(KvStoreTest, FindsByStringView) {
+  KvStore store;
+  Set(store, "profile:42", VersionedValue{"v", Version{1, 1}});
+  const std::string buffer = "xxprofile:42yy";
+  const std::string_view view = std::string_view(buffer).substr(2, 10);
+  const VersionedValue* found = store.Find(view);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->value, "v");
+  EXPECT_FALSE(store.TryEmplace(view).second);
+  EXPECT_EQ(store.Find(std::string_view(buffer).substr(2, 9)), nullptr);  // "profile:4"
+}
+
+}  // namespace
+}  // namespace icg

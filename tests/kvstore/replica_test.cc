@@ -462,5 +462,87 @@ TEST_F(ReplicaTest, MultiWriteGroupCommitSurvivesTotalCrashAtomically) {
   EXPECT_EQ(frk->LocalGet("c")->value, "3");
 }
 
+// --- Store order: first insertion, the same for the same history ------------------------
+
+// A three-replica deployment fed a fixed history: a preload, then Frankfurt-coordinated
+// writes that overwrite two preloaded keys and add two new ones. Keys arrive out of key
+// order, so first-insertion order differs from key order.
+struct OrderedHistoryWorld {
+  OrderedHistoryWorld()
+      : topology(RttMatrix::Ec2Default()),
+        network(&loop, &topology, /*seed=*/1, /*jitter_sigma=*/0.0),
+        cluster(&network, &topology, &config,
+                {Region::kFrankfurt, Region::kIreland, Region::kVirginia}) {
+    config.snapshot_every = 4;  // one snapshot mid-history, then a WAL tail
+    auto client = cluster.MakeClient(Region::kIreland, Region::kFrankfurt);
+    for (const std::string key : {"k7", "k2", "k9", "k4"}) {
+      cluster.Preload(key, "p-" + key);
+    }
+    for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+             {"k2", "w1"}, {"k0", "w2"}, {"k9", "w3"}, {"k5", "w4"}}) {
+      client->Write(key, value, [](StatusOr<OpResult>, bool, ResponseKind) {});
+      loop.Run();
+    }
+  }
+
+  std::vector<std::pair<std::string, VersionedValue>> BootstrapDump(Region from, Region to) {
+    std::vector<std::pair<std::string, VersionedValue>> dump;
+    cluster.ReplicaIn(from)->HandleBootstrap(
+        cluster.ReplicaIn(to)->id(),
+        [&dump](std::vector<std::pair<std::string, VersionedValue>> d) { dump = std::move(d); });
+    loop.Run();
+    return dump;
+  }
+
+  EventLoop loop;
+  Topology topology;
+  Network network;
+  KvConfig config;
+  KvCluster cluster;
+};
+
+const std::vector<std::string> kFirstInsertionOrder = {"k7", "k2", "k9", "k4", "k0", "k5"};
+
+// Keys of a bootstrap dump or a store, in listing order.
+template <typename Entries>
+std::vector<std::string> KeysOf(const Entries& entries) {
+  std::vector<std::string> keys;
+  for (const auto& [key, vv] : entries) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(StoreOrderTest, SameHistoryServesIdenticalDumpsInFirstInsertionOrder) {
+  OrderedHistoryWorld a;
+  OrderedHistoryWorld b;
+  const auto dump_a = a.BootstrapDump(Region::kFrankfurt, Region::kIreland);
+  EXPECT_EQ(dump_a, b.BootstrapDump(Region::kFrankfurt, Region::kIreland));
+  EXPECT_EQ(KeysOf(dump_a), kFirstInsertionOrder);
+  EXPECT_EQ(dump_a[1].second.value, "w1");  // an overwrite keeps the key's place
+  // A peer that saw the same preload and the same writes (replicated over a FIFO link)
+  // serves the same dump.
+  EXPECT_EQ(a.BootstrapDump(Region::kIreland, Region::kFrankfurt), dump_a);
+}
+
+TEST(StoreOrderTest, SnapshotPlusWalRecoveryRebuildsTheSameOrderedStore) {
+  OrderedHistoryWorld a;
+  OrderedHistoryWorld b;
+  for (OrderedHistoryWorld* world : {&a, &b}) {
+    KvReplica* frk = world->cluster.ReplicaIn(Region::kFrankfurt);
+    const KvStore before = frk->LocalStore();
+    world->network.Crash(frk->id());
+    frk->Crash();
+    world->network.Restart(frk->id());
+    frk->Recover();  // snapshot load + WAL replay run here; the bootstrap runs later
+    EXPECT_GT(frk->last_recovery().snapshot_entries, 0u);
+    EXPECT_GT(frk->last_recovery().wal_records_replayed, 0u);
+    EXPECT_EQ(frk->LocalStore(), before);
+    EXPECT_EQ(KeysOf(frk->LocalStore()), kFirstInsertionOrder);
+  }
+  EXPECT_EQ(a.cluster.ReplicaIn(Region::kFrankfurt)->LocalStore(),
+            b.cluster.ReplicaIn(Region::kFrankfurt)->LocalStore());
+}
+
 }  // namespace
 }  // namespace icg

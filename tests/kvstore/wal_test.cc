@@ -4,15 +4,20 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/kvstore/kv_store.h"
 #include "src/kvstore/snapshot.h"
 #include "src/kvstore/versioned_value.h"
 
 namespace icg {
 namespace {
+
+void Set(KvStore& store, std::string_view key, VersionedValue vv) {
+  *store.TryEmplace(key).first = std::move(vv);
+}
 
 Wal::ReplayResult ReplayInto(const Wal& wal, std::vector<Wal::Record>* out,
                              uint64_t from_lsn = 0) {
@@ -178,15 +183,15 @@ TEST(WalTest, CrashThenMoreAppendsKeepsLsnMonotone) {
 TEST(SnapshotTest, LoadRoundTripsStorageAndCoveredLsn) {
   SnapshotManager snap("s");
   EXPECT_FALSE(snap.HasSnapshot());
-  std::map<std::string, VersionedValue> storage;
-  storage["a"] = VersionedValue{"1", Version{10, 1}};
-  storage["b"] = VersionedValue{"two", Version{20, 2}};
+  KvStore storage;
+  Set(storage, "a", VersionedValue{"1", Version{10, 1}});
+  Set(storage, "b", VersionedValue{"two", Version{20, 2}});
   snap.Take(storage, /*through_lsn=*/7);
   EXPECT_TRUE(snap.HasSnapshot());
   EXPECT_EQ(snap.covered_lsn(), 7u);
   EXPECT_EQ(snap.snapshots_taken(), 1);
 
-  std::map<std::string, VersionedValue> loaded;
+  KvStore loaded;
   uint64_t through = 0;
   ASSERT_TRUE(snap.Load(&loaded, &through));
   EXPECT_EQ(through, 7u);
@@ -195,7 +200,7 @@ TEST(SnapshotTest, LoadRoundTripsStorageAndCoveredLsn) {
 
 TEST(SnapshotTest, LoadWithoutSnapshotReturnsFalse) {
   SnapshotManager snap("s");
-  std::map<std::string, VersionedValue> loaded;
+  KvStore loaded;
   uint64_t through = 99;
   EXPECT_FALSE(snap.Load(&loaded, &through));
   EXPECT_TRUE(loaded.empty());
@@ -204,16 +209,16 @@ TEST(SnapshotTest, LoadWithoutSnapshotReturnsFalse) {
 
 TEST(SnapshotTest, TakeReplacesPreviousSnapshotAtomically) {
   SnapshotManager snap("s");
-  std::map<std::string, VersionedValue> v1;
-  v1["a"] = VersionedValue{"old", Version{1, 1}};
+  KvStore v1;
+  Set(v1, "a", VersionedValue{"old", Version{1, 1}});
   snap.Take(v1, 3);
-  std::map<std::string, VersionedValue> v2;
-  v2["a"] = VersionedValue{"new", Version{5, 1}};
-  v2["b"] = VersionedValue{"fresh", Version{6, 1}};
+  KvStore v2;
+  Set(v2, "a", VersionedValue{"new", Version{5, 1}});
+  Set(v2, "b", VersionedValue{"fresh", Version{6, 1}});
   snap.Take(v2, 9);
   EXPECT_EQ(snap.snapshots_taken(), 2);
 
-  std::map<std::string, VersionedValue> loaded;
+  KvStore loaded;
   uint64_t through = 0;
   ASSERT_TRUE(snap.Load(&loaded, &through));
   EXPECT_EQ(through, 9u);
@@ -225,10 +230,10 @@ TEST(SnapshotTest, SnapshotPlusReplayRebuildsExactState) {
   // the synced suffix, LWW application makes any overlap harmless.
   Wal wal("w");
   SnapshotManager snap("s");
-  std::map<std::string, VersionedValue> storage;
+  KvStore storage;
   auto put = [&](const std::string& key, const std::string& value, Version version) {
     wal.Append(key, value, version);
-    storage[key] = VersionedValue{value, version};
+    Set(storage, key, VersionedValue{value, version});
   };
   put("a", "1", Version{10, 1});
   put("b", "2", Version{20, 1});
@@ -238,21 +243,21 @@ TEST(SnapshotTest, SnapshotPlusReplayRebuildsExactState) {
   put("a", "1b", Version{30, 1});
   put("c", "3", Version{40, 1});
   wal.Sync();
+  const KvStore expected = storage;  // every synced put survives the crash
   put("lost", "x", Version{50, 1});  // unsynced: dies with the crash
   wal.Crash();
 
-  std::map<std::string, VersionedValue> rebuilt;
+  KvStore rebuilt;
   uint64_t through = 0;
   ASSERT_TRUE(snap.Load(&rebuilt, &through));
   const auto replay = wal.Replay(through, [&](const Wal::Record& r) {
-    auto it = rebuilt.find(r.key);
-    if (it == rebuilt.end() || it->second.OlderThan(r.version)) {
-      rebuilt[r.key] = VersionedValue{r.value, r.version};
+    const auto [stored, inserted] = rebuilt.TryEmplace(r.key);
+    if (inserted || stored->OlderThan(r.version)) {
+      *stored = VersionedValue{r.value, r.version};
     }
   });
   EXPECT_EQ(replay.records, 2u);
-  std::map<std::string, VersionedValue> expected = storage;
-  expected.erase("lost");
+  // Same entries in the same (first-insertion) order.
   EXPECT_EQ(rebuilt, expected);
 }
 
