@@ -13,7 +13,7 @@
 //     least one coordinator scale-out (sustained sheds -> capacity);
 //   - sheds decay to ZERO once the controller has scaled: no shed at all from one
 //     second after the load returns to the low rate;
-//   - the inline ICG oracle stays clean through every controller action: monotone
+//   - IcgContractChecker stays clean through every controller action: monotone
 //     weakest-first views, exactly one terminal per invocation, no views after a
 //     terminal, no error other than a retryable overload shed.
 //
@@ -21,10 +21,8 @@
 // written); output includes BENCH_autoscale_load.json with the phase throughputs, the
 // ramp-following delay, shed decay, the controller's applied-action log, and the
 // oracle counters.
-#include <algorithm>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +30,7 @@
 #include "src/common/random.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
+#include "src/harness/icg_contract.h"
 #include "src/harness/orchestrator.h"
 #include "src/sim/loop_group.h"
 
@@ -42,102 +41,6 @@ constexpr SimDuration kBucket = Millis(250);
 constexpr SimDuration kRetryBackoff = Millis(50);
 constexpr int kKeys = 48;
 constexpr int kClients = 3;
-
-struct TrialState {
-  std::vector<int64_t> buckets;       // completions per 250ms of virtual time
-  std::vector<int64_t> shed_buckets;  // overload sheds per 250ms of virtual time
-  int64_t submitted = 0;              // logical operations (excluding retries)
-  int64_t completed = 0;
-  int64_t sheds = 0;                  // shed attempts (each retried)
-  int64_t unexpected_errors = 0;      // any terminal error that is not an overload shed
-  int64_t duplicate_finals = 0;
-  int64_t monotonicity_violations = 0;
-  int64_t views_after_terminal = 0;
-};
-
-struct InvocationCheck {
-  int terminals = 0;
-  bool has_level = false;
-  ConsistencyLevel last_level = ConsistencyLevel::kWeak;
-};
-
-void CheckView(TrialState& state, const std::shared_ptr<InvocationCheck>& check,
-               ConsistencyLevel level, bool is_terminal) {
-  if (check->terminals > 0) {
-    state.views_after_terminal++;
-  }
-  if (check->has_level && !IsStrongerOrEqual(level, check->last_level)) {
-    state.monotonicity_violations++;
-  }
-  check->has_level = true;
-  check->last_level = level;
-  if (is_terminal) {
-    check->terminals++;
-    if (check->terminals > 1) {
-      state.duplicate_finals++;
-    }
-  }
-}
-
-void Bucket(std::vector<int64_t>& buckets, SimTime at) {
-  const size_t index =
-      std::min(static_cast<size_t>(at / kBucket), buckets.size() - 1);
-  buckets[index]++;
-}
-
-// One logical operation, retried on overload sheds (synchronous admission sheds and
-// asynchronous cohort-flush sheds alike) until it completes.
-void Submit(TrialState& state, EventLoop* front, CorrectableClient* client,
-            bool is_write, const std::string& key, const std::string& value) {
-  Correctable<OpResult> c = is_write
-                                ? client->InvokeStrong(Operation::Put(key, value))
-                                : client->Invoke(Operation::Get(key));
-  const auto retry = [&state, front, client, is_write, key, value]() {
-    front->Schedule(kRetryBackoff, [&state, front, client, is_write, key, value]() {
-      Submit(state, front, client, is_write, key, value);
-    });
-  };
-  if (c.state() == CorrectableState::kError &&
-      c.error().code() == StatusCode::kOverloaded) {
-    state.sheds++;
-    Bucket(state.shed_buckets, front->Now());
-    retry();
-    return;
-  }
-  auto check = std::make_shared<InvocationCheck>();
-  c.SetCallbacks(
-      [&state, check](const View<OpResult>& v) {
-        CheckView(state, check, v.level, /*is_terminal=*/false);
-      },
-      [&state, check, front](const View<OpResult>& v) {
-        CheckView(state, check, v.level, /*is_terminal=*/true);
-        state.completed++;
-        Bucket(state.buckets, front->Now());
-      },
-      [&state, check, front, retry](const Status& status) {
-        if (check->terminals > 0) {
-          state.views_after_terminal++;
-        }
-        check->terminals++;
-        if (status.code() == StatusCode::kOverloaded) {
-          state.sheds++;
-          Bucket(state.shed_buckets, front->Now());
-          retry();
-        } else {
-          state.unexpected_errors++;
-        }
-      });
-}
-
-double RateOver(const std::vector<int64_t>& buckets, SimTime from, SimTime to) {
-  const size_t first = static_cast<size_t>(from / kBucket);
-  const size_t last = std::min(static_cast<size_t>(to / kBucket), buckets.size());
-  if (last <= first) return 0.0;
-  int64_t ops = 0;
-  for (size_t i = first; i < last; ++i) ops += buckets[i];
-  return static_cast<double>(ops) /
-         ToSeconds(static_cast<SimDuration>(last - first) * kBucket);
-}
 
 std::string Key(int index) { return "akey" + std::to_string(index); }
 
@@ -201,9 +104,11 @@ int main(int argc, char** argv) {
   Orchestrator orchestrator(&group, &world, &stack, orch_options);
   orchestrator.Start();
 
-  TrialState state;
-  state.buckets.assign(static_cast<size_t>(run_end / kBucket) + 8, 0);
-  state.shed_buckets.assign(state.buckets.size(), 0);
+  // Overload sheds are the one sanctioned error: each is retried.
+  IcgContractChecker checker(AllowedErrors::kOverloadOnly);
+  bench::RateBuckets completions(kBucket, run_end);
+  bench::RateBuckets shed_buckets(kBucket, run_end);
+  int64_t submitted = 0;  // logical operations (excluding retries)
 
   // Hand-scheduled open-loop arrivals: uniform within each phase, writes partitioned
   // per client. The schedule is fixed up front — completions never gate arrivals.
@@ -237,9 +142,15 @@ int main(int argc, char** argv) {
                 std::to_string(write_counter++);
       }
       CorrectableClient* client = clients[client_index];
-      state.submitted++;
-      front->Schedule(at, [&state, front, client, is_write, key, value]() {
-        Submit(state, front, client, is_write, key, value);
+      const OpKind kind = is_write ? OpKind::kWrite : OpKind::kIcgRead;
+      submitted++;
+      // One logical operation, retried on overload sheds until it completes.
+      front->Schedule(at, [&checker, &shed_buckets, &completions, front, client, kind, key,
+                           value]() {
+        checker.StartRetryingSheds(
+            *client, *front, kind, key, value, kRetryBackoff,
+            [&shed_buckets, front]() { shed_buckets.Add(front->Now()); },
+            [&completions, front]() { completions.Add(front->Now()); });
       });
     }
   }
@@ -247,22 +158,23 @@ int main(int argc, char** argv) {
   group.RunUntil(run_end);
   orchestrator.Stop();
   group.RunAll();
+  checker.CheckClosed();
 
   // Phase throughputs from the completion buckets. "Follows within 2 control
   // intervals" is the gate: by ramp_start + 500ms the completion rate must already be
   // tracking the new offered load.
-  const double pre_ramp = RateOver(state.buckets, Seconds(1), ramp_start);
+  const double pre_ramp = completions.Rate(Seconds(1), ramp_start);
   const SimTime follow_from = ramp_start + 2 * orch_options.control_interval;
-  const double ramp_rate = RateOver(state.buckets, follow_from, ramp_end);
-  const double tail_rate = RateOver(state.buckets, ramp_end + Seconds(1), load_end);
+  const double ramp_rate = completions.Rate(follow_from, ramp_end);
+  const double tail_rate = completions.Rate(ramp_end + Seconds(1), load_end);
   const double follow_ratio = pre_ramp > 0 ? ramp_rate / pre_ramp : 0.0;
 
   // When did throughput first track the ramp? First bucket at or after ramp_start
   // whose rate reaches 5x the pre-ramp plateau.
   double followed_after_ms = -1.0;
-  for (size_t i = static_cast<size_t>(ramp_start / kBucket);
-       i < static_cast<size_t>(ramp_end / kBucket) && i < state.buckets.size(); ++i) {
-    const double rate = static_cast<double>(state.buckets[i]) / ToSeconds(kBucket);
+  for (size_t i = completions.IndexOf(ramp_start);
+       i < completions.IndexOf(ramp_end) && i < completions.size(); ++i) {
+    const double rate = completions.RateAt(i);
     if (rate >= 5.0 * pre_ramp) {
       followed_after_ms =
           ToMillis(static_cast<SimTime>(i) * kBucket - ramp_start + kBucket);
@@ -271,11 +183,8 @@ int main(int argc, char** argv) {
   }
 
   // Shed decay: nothing may shed from one second after the load returns to low rate.
-  int64_t sheds_after_settle = 0;
-  for (size_t i = static_cast<size_t>((ramp_end + Seconds(1)) / kBucket);
-       i < state.shed_buckets.size(); ++i) {
-    sheds_after_settle += state.shed_buckets[i];
-  }
+  const int64_t sheds = shed_buckets.Count(0);
+  const int64_t sheds_after_settle = shed_buckets.Count(ramp_end + Seconds(1));
 
   std::map<ControlActionKind, int> action_counts;
   for (const OrchestratorEvent& event : orchestrator.events()) {
@@ -308,27 +217,23 @@ int main(int argc, char** argv) {
   }
   std::printf("sheds: %lld total (all retried), %lld after settle; throughput followed"
               " the ramp %s\n",
-              static_cast<long long>(state.sheds),
+              static_cast<long long>(sheds),
               static_cast<long long>(sheds_after_settle),
               followed_after_ms >= 0
                   ? ("in " + bench::Fmt(followed_after_ms, 0) + " ms").c_str()
                   : "NEVER");
 
-  const bool oracle_clean = state.unexpected_errors == 0 &&
-                            state.duplicate_finals == 0 &&
-                            state.monotonicity_violations == 0 &&
-                            state.views_after_terminal == 0 &&
-                            state.completed == state.submitted;
+  const bool oracle_clean = checker.clean() && checker.finals() == submitted;
   const bool followed =
       follow_ratio >= 5.0 && followed_after_ms >= 0 &&
       followed_after_ms <= ToMillis(2 * orch_options.control_interval);
   const bool controller_acted = widens >= 1 && scale_outs >= 1;
-  const bool sheds_decayed = state.sheds > 0 && sheds_after_settle == 0;
+  const bool sheds_decayed = sheds > 0 && sheds_after_settle == 0;
   std::printf("oracle: %s (%lld/%lld completed); gates: followed=%s acted=%s"
               " sheds_decayed=%s\n",
               oracle_clean ? "clean" : "VIOLATED",
-              static_cast<long long>(state.completed),
-              static_cast<long long>(state.submitted), followed ? "yes" : "NO",
+              static_cast<long long>(checker.finals()),
+              static_cast<long long>(submitted), followed ? "yes" : "NO",
               controller_acted ? "yes" : "NO", sheds_decayed ? "yes" : "NO");
 
   bench::JsonSummary json("autoscale_load");
@@ -349,14 +254,14 @@ int main(int argc, char** argv) {
   json.Add("controller.final_window_index",
            static_cast<int64_t>(orchestrator.window_index()));
   json.Add("controller.ring_epoch", static_cast<int64_t>(stack.ring_epoch()));
-  json.Add("sheds.total", state.sheds);
+  json.Add("sheds.total", sheds);
   json.Add("sheds.after_settle", sheds_after_settle);
-  json.Add("oracle.submitted", state.submitted);
-  json.Add("oracle.completed", state.completed);
-  json.Add("oracle.unexpected_errors", state.unexpected_errors);
-  json.Add("oracle.duplicate_finals", state.duplicate_finals);
-  json.Add("oracle.monotonicity_violations", state.monotonicity_violations);
-  json.Add("oracle.views_after_terminal", state.views_after_terminal);
+  json.Add("oracle.submitted", submitted);
+  json.Add("oracle.completed", checker.finals());
+  json.Add("oracle.unexpected_errors", checker.count(Violation::kDisallowedError));
+  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
+  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
+  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
   json.Write();
 
   return oracle_clean && followed && controller_acted && sheds_decayed ? 0 : 1;

@@ -5,12 +5,15 @@
 #ifndef ICG_BENCH_BENCH_UTIL_H_
 #define ICG_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/types.h"
 
 namespace icg::bench {
 
@@ -68,6 +71,43 @@ inline std::string Fmt(double value, int decimals = 1) {
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   return buf;
 }
+
+// Events per fixed-width bucket of virtual time, from 0 to a horizon (later events land
+// in the last bucket): the phase throughputs of a load trial.
+class RateBuckets {
+ public:
+  RateBuckets(SimDuration width, SimTime horizon)
+      : width_(width), counts_(static_cast<size_t>(horizon / width) + 8, 0) {}
+
+  void Add(SimTime at) { counts_[std::min(IndexOf(at), counts_.size() - 1)]++; }
+
+  size_t size() const { return counts_.size(); }
+  size_t IndexOf(SimTime at) const { return static_cast<size_t>(at / width_); }
+  // Bucket `i`'s rate per second.
+  double RateAt(size_t i) const { return static_cast<double>(counts_[i]) / ToSeconds(width_); }
+  // Events in, and mean rate per second over, the whole buckets from the one holding
+  // `from` up to (not including) the one holding `to`, or to the last bucket.
+  int64_t Count(SimTime from, SimTime to = std::numeric_limits<SimTime>::max()) const {
+    int64_t events = 0;
+    for (size_t i = IndexOf(from); i < End(to); ++i) {
+      events += counts_[i];
+    }
+    return events;
+  }
+  double Rate(SimTime from, SimTime to) const {
+    const size_t first = IndexOf(from);
+    const size_t last = End(to);
+    return last <= first ? 0.0
+                         : static_cast<double>(Count(from, to)) /
+                               ToSeconds(static_cast<SimDuration>(last - first) * width_);
+  }
+
+ private:
+  size_t End(SimTime to) const { return std::min(IndexOf(to), counts_.size()); }
+
+  SimDuration width_;
+  std::vector<int64_t> counts_;
+};
 
 // Accumulates a flat set of metrics and writes them as BENCH_<name>.json next to the
 // working directory (one file per bench target, overwritten per run). Nesting is

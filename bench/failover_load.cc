@@ -13,9 +13,9 @@
 // replays snapshot + WAL, anti-entropy syncs both directions, and rejoins the ring at
 // a fresh epoch.
 //
-// Every invocation runs under an inline consistency oracle (weakest-first monotone view
-// levels, exactly one terminal, no views after the terminal); every acked write's
-// version is remembered and checked against the converged replicas at the end. The
+// Every invocation runs under IcgContractChecker (weakest-first monotone view levels,
+// exactly one terminal, no views after the terminal; errors are legal terminals here);
+// every acked write is checked against the converged replicas at the end. The
 // bench FAILS on any oracle violation, on any acked-write loss, if detection takes
 // longer than the configured miss window (plus slack), or if post-recovery steady-state
 // throughput falls below 0.9x the pre-crash plateau.
@@ -24,14 +24,12 @@
 // written); output includes BENCH_failover_load.json.
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
+#include "src/harness/icg_contract.h"
 #include "src/ycsb/multi_runner.h"
 
 namespace icg {
@@ -39,129 +37,6 @@ namespace {
 
 constexpr int64_t kRecords = 8000;
 constexpr SimDuration kBucket = Millis(250);
-
-struct TrialState {
-  std::vector<int64_t> buckets;
-  int64_t completed = 0;
-  int64_t issued = 0;
-  int64_t errors = 0;
-  int64_t duplicate_finals = 0;
-  int64_t monotonicity_violations = 0;
-  int64_t views_after_terminal = 0;
-  // Latest acked version per key: the durability contract the bench holds the cluster to.
-  std::map<std::string, Version> acked;
-};
-
-struct InvocationCheck {
-  int finals = 0;
-  int errors = 0;
-  bool has_level = false;
-  ConsistencyLevel last_level = ConsistencyLevel::kWeak;
-};
-
-void CheckView(const std::shared_ptr<TrialState>& state,
-               const std::shared_ptr<InvocationCheck>& check, ConsistencyLevel level,
-               bool is_terminal) {
-  if (check->finals + check->errors > 0) {
-    state->views_after_terminal++;
-  }
-  if (check->has_level && !IsStrongerOrEqual(level, check->last_level)) {
-    state->monotonicity_violations++;
-  }
-  check->has_level = true;
-  check->last_level = level;
-  if (is_terminal) {
-    check->finals++;
-    if (check->finals > 1) {
-      state->duplicate_finals++;
-    }
-  }
-}
-
-void RecordCompletion(EventLoop* loop, const std::shared_ptr<TrialState>& state) {
-  const size_t bucket =
-      std::min(static_cast<size_t>(loop->Now() / kBucket), state->buckets.size() - 1);
-  state->buckets[bucket]++;
-  state->completed++;
-}
-
-OpExecutor MakeCheckedIcgExecutor(CorrectableClient* client, EventLoop* loop,
-                                  std::shared_ptr<TrialState> state) {
-  return [client, loop, state](const YcsbOp& op, std::function<void(OpOutcome)> done) {
-    const SimTime start = loop->Now();
-    auto now = [loop, start]() { return loop->Now() - start; };
-    state->issued++;
-    auto check = std::make_shared<InvocationCheck>();
-    auto outcome = std::make_shared<OpOutcome>();
-
-    if (!op.is_read) {
-      const std::string key = op.key;
-      client->InvokeStrong(Operation::Put(op.key, op.value))
-          .SetCallbacks(
-              [state, check](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/false);
-              },
-              [state, check, outcome, loop, done, now, key](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/true);
-                auto it = state->acked.find(key);
-                if (it == state->acked.end() || it->second < v.value.version) {
-                  state->acked[key] = v.value.version;
-                }
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              },
-              [state, check, outcome, loop, done, now](const Status&) {
-                // Timeouts and sheds during the failover window are expected: the write
-                // was never acked, so durability promises nothing about it.
-                check->errors++;
-                state->errors++;
-                outcome->error = true;
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              });
-      return;
-    }
-
-    client->Invoke(Operation::Get(op.key))
-        .SetCallbacks(
-            [state, check, outcome, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/false);
-              if (!outcome->preliminary_latency.has_value()) {
-                outcome->preliminary_latency = now();
-              }
-            },
-            [state, check, outcome, loop, done, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/true);
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            },
-            [state, check, outcome, loop, done, now](const Status&) {
-              check->errors++;
-              state->errors++;
-              outcome->error = true;
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            });
-  };
-}
-
-double BucketRate(const TrialState& state, SimTime from, SimTime to) {
-  const size_t first = static_cast<size_t>(from / kBucket);
-  const size_t last = std::min(static_cast<size_t>(to / kBucket), state.buckets.size());
-  if (last <= first) {
-    return 0.0;
-  }
-  int64_t ops = 0;
-  for (size_t i = first; i < last; ++i) {
-    ops += state.buckets[i];
-  }
-  return static_cast<double>(ops) /
-         ToSeconds(static_cast<SimDuration>(last - first) * kBucket);
-}
 
 }  // namespace
 }  // namespace icg
@@ -215,8 +90,10 @@ int main(int argc, char** argv) {
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
   PreloadYcsbDataset(stack.cluster.get(), workload);
 
-  auto state = std::make_shared<TrialState>();
-  state->buckets.assign(static_cast<size_t>(duration / kBucket) + 8, 0);
+  // Timeouts and sheds during the failover window are expected terminals: an errored
+  // write was never acked, so durability promises nothing about it.
+  IcgContractChecker checker(AllowedErrors::kAny);
+  bench::RateBuckets completions(kBucket, duration);
 
   RunnerConfig config;
   config.threads = threads;
@@ -225,12 +102,12 @@ int main(int argc, char** argv) {
   config.cooldown = warmup;
 
   MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1,
-                   MakeCheckedIcgExecutor(stack.client(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 2,
-                   MakeCheckedIcgExecutor(frk.client.get(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 3,
-                   MakeCheckedIcgExecutor(vrg.client.get(), &world.loop(), state));
+  uint64_t client_seed = seed * 3;
+  for (CorrectableClient* client : {stack.client(), frk.client.get(), vrg.client.get()}) {
+    runner.AddClient(workload, ++client_seed, MakeCheckedKvExecutor(client, &checker, [&]() {
+                       completions.Add(world.loop().Now());
+                     }));
+  }
 
   const NodeId victim = stack.coordinator_ids().front();
   world.loop().Schedule(crash_at, [&stack, victim]() { stack.CrashCoordinator(victim); });
@@ -241,24 +118,25 @@ int main(int argc, char** argv) {
                         [&stack]() { stack.DisableFailureDetection(); });
 
   const RunnerResult load = runner.Run();
+  checker.CheckClosed();
 
-  const double pre_crash = BucketRate(*state, warmup, crash_at);
-  const double outage = BucketRate(*state, crash_at + settle, recover_at);
-  const double post_recovery = BucketRate(*state, recover_at + settle, duration - warmup);
+  const double pre_crash = completions.Rate(warmup, crash_at);
+  const double outage = completions.Rate(crash_at + settle, recover_at);
+  const double post_recovery = completions.Rate(recover_at + settle, duration - warmup);
   // Worst bucket right after the crash, and time until the completion rate first
   // reached the pre-crash plateau again after the restart.
-  const size_t crash_bucket = static_cast<size_t>(crash_at / kBucket);
+  const size_t crash_bucket = completions.IndexOf(crash_at);
   const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
   double dip = pre_crash;
-  for (size_t i = crash_bucket;
-       i < crash_bucket + settle_buckets && i < state->buckets.size(); ++i) {
-    dip = std::min(dip, static_cast<double>(state->buckets[i]) / ToSeconds(kBucket));
+  for (size_t i = crash_bucket; i < crash_bucket + settle_buckets && i < completions.size();
+       ++i) {
+    dip = std::min(dip, completions.RateAt(i));
   }
-  const size_t recover_bucket = static_cast<size_t>(recover_at / kBucket);
+  const size_t recover_bucket = completions.IndexOf(recover_at);
   double rejoin_recovery_ms = -1.0;
-  for (size_t i = recover_bucket;
-       i < recover_bucket + settle_buckets && i < state->buckets.size(); ++i) {
-    const double rate = static_cast<double>(state->buckets[i]) / ToSeconds(kBucket);
+  for (size_t i = recover_bucket; i < recover_bucket + settle_buckets && i < completions.size();
+       ++i) {
+    const double rate = completions.RateAt(i);
     if (rate >= 0.9 * pre_crash) {
       rejoin_recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - recover_bucket) * kBucket);
       break;
@@ -280,18 +158,11 @@ int main(int argc, char** argv) {
     if (replica->id() == victim) recovered = replica.get();
   }
 
+  const bool oracle_clean = checker.clean();
   // The durability contract: every version a client saw acked must be at or below what
   // the converged cluster holds for that key, on every replica.
-  int64_t acked_lost = 0;
-  for (const auto& [key, version] : state->acked) {
-    for (const auto& replica : stack.cluster->replicas()) {
-      const auto stored = replica->LocalGet(key);
-      if (!stored.has_value() || stored->version < version) {
-        acked_lost++;
-        break;
-      }
-    }
-  }
+  const int64_t acked_keys = checker.CheckNoAckedLoss(*stack.cluster);
+  const int64_t acked_lost = checker.count(Violation::kAckedWriteLost);
 
   bench::Table table({"phase", "throughput (ops/s)", "notes"});
   table.AddRow({"pre-crash (3 coordinators)", bench::Fmt(pre_crash, 0),
@@ -304,9 +175,6 @@ int main(int argc, char** argv) {
                 "ring epoch " + std::to_string(stack.ring_epoch())});
   table.Print();
 
-  const bool oracle_clean = state->duplicate_finals == 0 &&
-                            state->monotonicity_violations == 0 &&
-                            state->views_after_terminal == 0;
   const double detection_bound_ms = 5 * 50.0;  // miss window (3x50ms) plus probe slack
   const bool detected = detection_ms >= 0 && detection_ms <= detection_bound_ms;
   const bool recovered_clean = rejoined && recovered != nullptr &&
@@ -315,10 +183,9 @@ int main(int argc, char** argv) {
   const bool throughput_back = post_recovery >= 0.9 * pre_crash;
   const bool no_acked_loss = acked_lost == 0;
 
-  std::printf("ops issued %lld, completed %lld (%lld errors during failover); oracle: %s\n",
-              static_cast<long long>(state->issued),
-              static_cast<long long>(state->completed),
-              static_cast<long long>(state->errors),
+  std::printf("ops issued %zu, completed %lld (%lld errors during failover); oracle: %s\n",
+              checker.invocations().size(), static_cast<long long>(checker.closed()),
+              static_cast<long long>(checker.errors()),
               oracle_clean ? "clean (no duplication or reordering)" : "VIOLATED");
   std::printf("detection %s ms (bound %.0f), rejoined=%s, wal replayed %llu records, "
               "bootstrap merged %llu keys\n",
@@ -330,9 +197,9 @@ int main(int argc, char** argv) {
               recovered != nullptr
                   ? static_cast<unsigned long long>(recovered->last_recovery().bootstrap_keys_merged)
                   : 0ull);
-  std::printf("acked writes checked %zu, lost %lld; post-recovery %.0f ops/s %s 0.9x "
+  std::printf("acked writes checked %lld, lost %lld; post-recovery %.0f ops/s %s 0.9x "
               "pre-crash %.0f ops/s (%.2fx)\n",
-              state->acked.size(), static_cast<long long>(acked_lost), post_recovery,
+              static_cast<long long>(acked_keys), static_cast<long long>(acked_lost), post_recovery,
               throughput_back ? ">=" : "BELOW", pre_crash,
               pre_crash > 0 ? post_recovery / pre_crash : 0.0);
 
@@ -356,14 +223,14 @@ int main(int argc, char** argv) {
                : 0);
   json.Add("speedup_post_vs_pre", pre_crash > 0 ? post_recovery / pre_crash : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(stack.ring_epoch()));
-  json.Add("durability.acked_keys", static_cast<int64_t>(state->acked.size()));
+  json.Add("durability.acked_keys", acked_keys);
   json.Add("durability.acked_lost", acked_lost);
-  json.Add("oracle.issued", state->issued);
-  json.Add("oracle.completed", state->completed);
-  json.Add("oracle.errors", state->errors);
-  json.Add("oracle.duplicate_finals", state->duplicate_finals);
-  json.Add("oracle.monotonicity_violations", state->monotonicity_violations);
-  json.Add("oracle.views_after_terminal", state->views_after_terminal);
+  json.Add("oracle.issued", static_cast<int64_t>(checker.invocations().size()));
+  json.Add("oracle.completed", checker.closed());
+  json.Add("oracle.errors", checker.errors());
+  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
+  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
+  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
   json.Write();

@@ -11,8 +11,8 @@
 // virtual time, so the output shows the pre-join plateau, the transition, and the
 // post-join steady state.
 //
-// Every invocation runs under an inline consistency oracle (weakest-first monotone view
-// levels, exactly one terminal, no views after the terminal). The bench FAILS if the
+// Every invocation runs under IcgContractChecker (weakest-first monotone view levels,
+// exactly one terminal, no views after the terminal, no error). The bench FAILS if the
 // transition loses, duplicates, or reorders a single invocation — or if post-join
 // steady-state throughput does not at least match the pre-join baseline (it should beat
 // it: the newcomer absorbs ~1/3 of the key space from the two saturated survivors).
@@ -22,13 +22,12 @@
 // transition-dip depth, recovery time, and the oracle counters.
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
+#include "src/harness/icg_contract.h"
 #include "src/ycsb/multi_runner.h"
 
 namespace icg {
@@ -36,123 +35,6 @@ namespace {
 
 constexpr int64_t kRecords = 8000;
 constexpr SimDuration kBucket = Millis(250);
-
-// Shared across the three clients' executors: per-bucket completion counts plus the
-// inline oracle tallies.
-struct TrialState {
-  std::vector<int64_t> buckets;
-  int64_t completed = 0;
-  int64_t issued = 0;
-  int64_t errors = 0;
-  int64_t duplicate_finals = 0;        // a second terminal view for one invocation
-  int64_t monotonicity_violations = 0; // a view level regressed within one invocation
-  int64_t views_after_terminal = 0;
-};
-
-// Per-invocation oracle record.
-struct InvocationCheck {
-  int finals = 0;
-  int errors = 0;
-  bool has_level = false;
-  ConsistencyLevel last_level = ConsistencyLevel::kWeak;
-};
-
-void CheckView(const std::shared_ptr<TrialState>& state,
-               const std::shared_ptr<InvocationCheck>& check, ConsistencyLevel level,
-               bool is_terminal) {
-  if (check->finals + check->errors > 0) {
-    state->views_after_terminal++;
-  }
-  if (check->has_level && !IsStrongerOrEqual(level, check->last_level)) {
-    state->monotonicity_violations++;
-  }
-  check->has_level = true;
-  check->last_level = level;
-  if (is_terminal) {
-    check->finals++;
-    if (check->finals > 1) {
-      state->duplicate_finals++;
-    }
-  }
-}
-
-void RecordCompletion(EventLoop* loop, const std::shared_ptr<TrialState>& state) {
-  const size_t bucket =
-      std::min(static_cast<size_t>(loop->Now() / kBucket), state->buckets.size() - 1);
-  state->buckets[bucket]++;
-  state->completed++;
-}
-
-// The ICG executor of MakeKvExecutor with the oracle wired into every callback.
-OpExecutor MakeCheckedIcgExecutor(CorrectableClient* client, EventLoop* loop,
-                                  std::shared_ptr<TrialState> state) {
-  return [client, loop, state](const YcsbOp& op, std::function<void(OpOutcome)> done) {
-    const SimTime start = loop->Now();
-    auto now = [loop, start]() { return loop->Now() - start; };
-    state->issued++;
-    auto check = std::make_shared<InvocationCheck>();
-    auto outcome = std::make_shared<OpOutcome>();
-
-    if (!op.is_read) {
-      client->InvokeStrong(Operation::Put(op.key, op.value))
-          .SetCallbacks(
-              [state, check](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/false);
-              },
-              [state, check, outcome, loop, done, now](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/true);
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              },
-              [state, check, outcome, loop, done, now](const Status&) {
-                check->errors++;
-                state->errors++;
-                outcome->error = true;
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              });
-      return;
-    }
-
-    client->Invoke(Operation::Get(op.key))
-        .SetCallbacks(
-            [state, check, outcome, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/false);
-              if (!outcome->preliminary_latency.has_value()) {
-                outcome->preliminary_latency = now();
-              }
-            },
-            [state, check, outcome, loop, done, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/true);
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            },
-            [state, check, outcome, loop, done, now](const Status&) {
-              check->errors++;
-              state->errors++;
-              outcome->error = true;
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            });
-  };
-}
-
-double BucketRate(const TrialState& state, SimTime from, SimTime to) {
-  const size_t first = static_cast<size_t>(from / kBucket);
-  const size_t last = std::min(static_cast<size_t>(to / kBucket), state.buckets.size());
-  if (last <= first) {
-    return 0.0;
-  }
-  int64_t ops = 0;
-  for (size_t i = first; i < last; ++i) {
-    ops += state.buckets[i];
-  }
-  return static_cast<double>(ops) / ToSeconds(static_cast<SimDuration>(last - first) * kBucket);
-}
 
 }  // namespace
 }  // namespace icg
@@ -191,8 +73,8 @@ int main(int argc, char** argv) {
   const WorkloadConfig workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
   PreloadYcsbDataset(stack.cluster.get(), workload);
 
-  auto state = std::make_shared<TrialState>();
-  state->buckets.assign(static_cast<size_t>(duration / kBucket) + 8, 0);
+  IcgContractChecker checker;
+  bench::RateBuckets completions(kBucket, duration);
 
   RunnerConfig config;
   config.threads = threads;
@@ -201,12 +83,12 @@ int main(int argc, char** argv) {
   config.cooldown = warmup;
 
   MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1,
-                   MakeCheckedIcgExecutor(stack.client(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 2,
-                   MakeCheckedIcgExecutor(frk.client.get(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 3,
-                   MakeCheckedIcgExecutor(vrg.client.get(), &world.loop(), state));
+  uint64_t client_seed = seed * 3;
+  for (CorrectableClient* client : {stack.client(), frk.client.get(), vrg.client.get()}) {
+    runner.AddClient(workload, ++client_seed, MakeCheckedKvExecutor(client, &checker, [&]() {
+                       completions.Add(world.loop().Now());
+                     }));
+  }
 
   // The membership change, scheduled into the middle of the trial.
   const NodeId joiner = stack.cluster->replicas().back()->id();
@@ -219,19 +101,19 @@ int main(int argc, char** argv) {
   });
 
   const RunnerResult load = runner.Run();
+  checker.CheckClosed();
 
   // Pre-join plateau vs. post-join steady state, from the completion buckets.
-  const double pre_join = BucketRate(*state, warmup, join_at);
-  const double post_join = BucketRate(*state, join_at + settle, duration - warmup);
+  const double pre_join = completions.Rate(warmup, join_at);
+  const double post_join = completions.Rate(join_at + settle, duration - warmup);
   // Transition detail: the worst bucket right after the join, and how long until the
   // completion rate first met the pre-join plateau again.
-  const size_t join_bucket = static_cast<size_t>(join_at / kBucket);
+  const size_t join_bucket = completions.IndexOf(join_at);
   const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
   double dip = pre_join;
   double recovery_ms = -1.0;
-  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < state->buckets.size();
-       ++i) {
-    const double rate = static_cast<double>(state->buckets[i]) / ToSeconds(kBucket);
+  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < completions.size(); ++i) {
+    const double rate = completions.RateAt(i);
     dip = std::min(dip, rate);
     if (recovery_ms < 0 && rate >= pre_join) {
       recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - join_bucket) * kBucket);
@@ -247,12 +129,10 @@ int main(int argc, char** argv) {
                 "steady state, ring epoch " + std::to_string(epoch_after)});
   table.Print();
 
-  const bool oracle_clean = state->errors == 0 && state->duplicate_finals == 0 &&
-                            state->monotonicity_violations == 0 &&
-                            state->views_after_terminal == 0;
+  const bool oracle_clean = checker.clean();
   const bool recovered = post_join >= pre_join;
-  std::printf("ops issued %lld, completed %lld; oracle: %s\n",
-              static_cast<long long>(state->issued), static_cast<long long>(state->completed),
+  std::printf("ops issued %zu, completed %lld; oracle: %s\n", checker.invocations().size(),
+              static_cast<long long>(checker.closed()),
               oracle_clean ? "clean (no loss, duplication, or reordering)" : "VIOLATED");
   std::printf("moved key share at join: %.1f%%; recovery to pre-join rate: %s\n",
               100.0 * moved_fraction,
@@ -271,12 +151,12 @@ int main(int argc, char** argv) {
   json.Add("transition.moved_fraction", moved_fraction, 3);
   json.Add("speedup_post_vs_pre", pre_join > 0 ? post_join / pre_join : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(epoch_after));
-  json.Add("oracle.issued", state->issued);
-  json.Add("oracle.completed", state->completed);
-  json.Add("oracle.errors", state->errors);
-  json.Add("oracle.duplicate_finals", state->duplicate_finals);
-  json.Add("oracle.monotonicity_violations", state->monotonicity_violations);
-  json.Add("oracle.views_after_terminal", state->views_after_terminal);
+  json.Add("oracle.issued", static_cast<int64_t>(checker.invocations().size()));
+  json.Add("oracle.completed", checker.closed());
+  json.Add("oracle.errors", checker.errors());
+  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
+  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
+  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
   json.Write();

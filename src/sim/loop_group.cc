@@ -8,11 +8,6 @@
 #include <optional>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace icg {
 namespace {
 
@@ -35,18 +30,6 @@ inline void CpuRelax() {
   asm volatile("yield" ::: "memory");
 #else
   std::this_thread::yield();
-#endif
-}
-
-bool PinCurrentThreadToCore(int core) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(core), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
 #endif
 }
 
@@ -388,10 +371,6 @@ void LoopGroup::StartWorkers() {
 }
 
 void LoopGroup::WorkerMain(int worker_index) {
-  if (options_.pin_workers &&
-      PinCurrentThreadToCore(worker_index % HardwareThreads())) {
-    workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-  }
   uint64_t seen = 0;
   while (true) {
     // Spin-then-park for the next round: bounded spinning keeps the publish->work

@@ -87,9 +87,6 @@ class LoopGroup {
     // Hard cap on one adaptive round's width, bounding real-time lane skew and the
     // channel-drain interval. 0 means 64 * quantum.
     SimDuration max_quantum = 0;
-    // Pin each worker thread to a distinct core (Linux only; graceful no-op
-    // elsewhere). workers_pinned() reports how many pins actually took.
-    bool pin_workers = false;
     // Keep the full per-round barrier-time history in memory (barrier_history()).
     // barrier_schedule_hash() is always maintained; the history is for tests.
     bool record_barrier_schedule = false;
@@ -177,9 +174,6 @@ class LoopGroup {
   // one of the K threads. Stays 0 forever in sequential mode — the regression tests
   // assert this, since the sequential driver must never spawn or block.
   int workers_started() const { return worker_count_; }
-
-  // Workers whose core pin actually took (0 unless Options::pin_workers on Linux).
-  int workers_pinned() const { return workers_pinned_.load(std::memory_order_relaxed); }
 
   // FNV-1a over the sequence of barrier times so far: a fingerprint of the quantum
   // schedule. Bit-identical across thread widths — the width-sweep tests compare it.
@@ -330,7 +324,6 @@ class LoopGroup {
   int spin_budget_ = 0;   // per-wait spin iterations before parking
   int64_t last_round_events_ = 0;  // events all loops ran last round (the cost gate)
   std::vector<std::thread> workers_;
-  std::atomic<int> workers_pinned_{0};
 
   // Spin-then-park barrier. The driver publishes a round by bumping round_gen_
   // (release) after writing round_barrier_/round_units_/workers_active_;

@@ -4,260 +4,48 @@
 // layer merges, splits, delays, or fans back out, every Correctable must still obey the
 // paper's contract — weakest-first monotone view delivery, exactly one terminal view
 // (no lost or duplicated finals), and per-key write program order surviving all the way
-// into replica state.
-//
-// The RNG seed comes from ICG_ORACLE_SEED (default 12345); CI sweeps several seeds.
+// into replica state. IcgContractChecker states the contract; oracle_support.h holds the
+// seed (ICG_ORACLE_SEED, default 12345; CI sweeps several), the width sweep and the load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/bindings/blockchain_binding.h"
-#include "src/common/random.h"
 #include "src/harness/deployment.h"
+#include "tests/integration/oracle_support.h"
 
 namespace icg {
 namespace {
 
-uint64_t OracleSeed() {
-  const char* env = std::getenv("ICG_ORACLE_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 12345;
-}
-
-// Everything the oracle records about one invocation, filled in by the Correctable's
-// callbacks as the run unfolds.
-struct Observation {
-  bool is_write = false;
-  size_t client = 0;
-  std::string key;
-  std::string written_value;
-  ConsistencyLevel weakest = ConsistencyLevel::kStrong;
-  ConsistencyLevel strongest = ConsistencyLevel::kStrong;
-  std::vector<ConsistencyLevel> delivered;  // every view's level, in delivery order
-  int finals = 0;
-  int errors = 0;
-  bool view_after_terminal = false;
-  OpResult final_value;
-  Version ack_version{};  // writes: the acknowledged store version
-};
-
-// Wires the oracle's callbacks onto one invocation's Correctable.
-void Observe(Correctable<OpResult> c, const std::shared_ptr<Observation>& obs) {
-  c.SetCallbacks(
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->delivered.push_back(v.level);
-      },
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->finals++;
-        obs->delivered.push_back(v.level);
-        obs->final_value = v.value;
-        obs->ack_version = v.value.version;
-      },
-      [obs](const Status&) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->errors++;
-      });
-}
-
-// The oracle assertions every observation must satisfy, regardless of batching.
-void CheckObservation(const Observation& obs, const std::string& context) {
-  SCOPED_TRACE(context + " key=" + obs.key + " client=" + std::to_string(obs.client));
-  // No lost finals: every invocation terminates; no duplicated finals either.
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_FALSE(obs.view_after_terminal) << "views delivered after the terminal view";
-  // Weakest-first monotone delivery: levels never regress.
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    // The terminal view lands at the strongest requested level.
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    // And nothing ever exceeded the request or undercut the weakest.
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
-// kKeys is a multiple of kClients so the single-writer-per-key partition below is
-// exact: (index / kClients) * kClients + client never wraps onto another writer's key.
+// kKeys is a multiple of the three clients so the single-writer-per-key partition of
+// DrawOp is exact: a write never moves past the last key.
 constexpr int kKeys = 39;
-constexpr int kClients = 3;
 
 std::string OracleKey(int index) { return "okey" + std::to_string(index); }
 
-// Shared submission-order bookkeeping of the sharded trials, recorded at *submission*
-// time (ops are scheduled at random instants, so creation order is not program order).
-struct OracleLoad {
-  std::vector<std::shared_ptr<Observation>> observations;
-  std::shared_ptr<std::map<std::string, std::vector<std::string>>> submitted =
-      std::make_shared<std::map<std::string, std::vector<std::string>>>();
-  std::shared_ptr<std::map<std::string, std::vector<std::shared_ptr<Observation>>>>
-      write_order =
-          std::make_shared<std::map<std::string, std::vector<std::shared_ptr<Observation>>>>();
-};
-
-// Schedules `ops` random reads (weak/strong/ICG) and strong writes from the three
-// clients at random instants over three seconds. Writes are single-writer-per-key
-// (client c owns keys with index % kClients == c), so per-key program order has a crisp
-// oracle: the last value that key's writer submitted must be what every replica
-// converges to.
-OracleLoad ScheduleRandomLoad(SimWorld& world, CorrectableClient* const clients[], Rng& rng,
-                              int ops) {
-  OracleLoad load;
-  int write_counter = 0;
-  for (int i = 0; i < ops; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(3)));
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-    const bool is_write = rng.NextBool(0.25);
-    const int flavor = static_cast<int>(rng.NextBounded(3));  // reads: weak/strong/icg
-    int key_index = static_cast<int>(rng.NextBounded(kKeys));
-    if (is_write) {
-      // Single writer per key: move to a key this client owns.
-      key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-    }
-    const std::string key = OracleKey(key_index);
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->client = client_index;
-    obs->key = key;
-    load.observations.push_back(obs);
-
-    if (is_write) {
-      const std::string value =
-          "c" + std::to_string(client_index) + "-" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client = clients[client_index], key, value, obs,
-                                 submitted = load.submitted,
-                                 write_order = load.write_order]() {
-        (*submitted)[key].push_back(value);
-        (*write_order)[key].push_back(obs);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs);
-      });
-      continue;
-    }
-
-    CorrectableClient* client = clients[client_index];
-    if (flavor == 0) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kWeak;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->InvokeWeak(Operation::Get(key)), obs);
-      });
-    } else if (flavor == 1) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->InvokeStrong(Operation::Get(key)), obs);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs);
-      });
-    }
-  }
-  return load;
-}
-
-// The post-run oracles shared by the sharded trials. Per-invocation contract first, then
-// write program order per key two ways — through acknowledgements (versions a key's
-// writes were acked under never regress in submission order; a batched flush acks its
-// members under one version, so equal is fine, regression is not) and through replica
-// state (after quiescence every replica holds the key's last submitted value) — and
-// finally reads observing only preloaded or submitted values.
-void CheckLoadOracles(const OracleLoad& load, const KvCluster& cluster,
-                      const std::string& context) {
-  for (const auto& obs : load.observations) {
-    CheckObservation(*obs, context);
-    EXPECT_EQ(obs->errors, 0) << "no failure injected, so nothing may fail (key="
-                              << obs->key << ")";
-  }
-  for (const auto& [key, writes] : *load.write_order) {
-    Version previous{};
-    for (size_t i = 0; i < writes.size(); ++i) {
-      if (writes[i]->finals != 1) {
-        continue;
-      }
-      EXPECT_FALSE(writes[i]->ack_version < previous)
-          << "ack versions regressed for " << key << " at write " << i;
-      previous = writes[i]->ack_version;
-    }
-  }
-  for (const auto& [key, values] : *load.submitted) {
-    for (const auto& replica : cluster.replicas()) {
-      const auto stored = replica->LocalGet(key);
-      ASSERT_TRUE(stored.has_value()) << key;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key << " (" << context << ")";
-    }
-  }
-  for (const auto& obs : load.observations) {
-    if (!obs->is_write && obs->finals == 1 && obs->final_value.found) {
-      const auto& history = (*load.submitted)[obs->key];
-      const bool known =
-          obs->final_value.value == "init" ||
-          std::find(history.begin(), history.end(), obs->final_value.value) != history.end();
-      EXPECT_TRUE(known) << "read of " << obs->key << " returned a value never written: "
-                         << obs->final_value.value;
-    }
-  }
-}
+// The sharded trials' load: 400 random ops from the three clients over three seconds.
+const LoadShape kShardedLoad{0, Seconds(3), 400, kKeys, "okey"};
 
 // One randomized trial over the sharded Cassandra deployment (3 routed clients, one per
 // region) with static membership.
 void RunShardedOracleTrial(SimDuration window, uint64_t seed) {
   SCOPED_TRACE("window_us=" + std::to_string(window) + " seed=" + std::to_string(seed));
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = window;
-
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, KvConfig{}, binding,
-                                         Region::kIreland,
-                                         {Region::kFrankfurt, Region::kIreland,
-                                          Region::kVirginia},
-                                         batch);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
-
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
+  ShardedTrial trial(seed, /*coordinators=*/3, kRegions3, {.batch_window = window});
+  trial.Preload("okey", kKeys);
 
   Rng rng(seed * 31 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
-  world.loop().Run();
+  ScheduleRandomLoad(trial, rng, kShardedLoad);
+  trial.world.loop().Run();
 
-  CheckLoadOracles(load, *stack.cluster, "sharded");
+  ExpectKvContract(trial, "sharded");
 
   // Counter sanity: window 0 must never open a cross-tick batch; a wide window under
   // this op rate must.
   int64_t cross_tick = 0;
-  for (const CorrectableClient* client : clients) {
+  for (const CorrectableClient* client : trial.clients) {
     cross_tick += client->stats().cross_tick_batches;
   }
   if (window == 0) {
@@ -268,7 +56,7 @@ void RunShardedOracleTrial(SimDuration window, uint64_t seed) {
 }
 
 TEST(BatchOracle, ShardedCassandraAcrossWindows) {
-  const uint64_t seed = OracleSeed();
+  const uint64_t seed = SeedFromEnv();
   for (const SimDuration window : {Millis(0), Millis(2), Millis(25)}) {
     RunShardedOracleTrial(window, seed);
   }
@@ -284,29 +72,11 @@ TEST(BatchOracle, ShardedCassandraAcrossWindows) {
 // and no invocation may be lost to a coordinator that left with work pending.
 void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
   SCOPED_TRACE("churn window_us=" + std::to_string(window) + " seed=" + std::to_string(seed));
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = window;
-
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, KvConfig{}, binding,
-                                         Region::kIreland,
-                                         {Region::kFrankfurt, Region::kIreland,
-                                          Region::kVirginia, Region::kCalifornia,
-                                          Region::kOregon},
-                                         batch);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
-
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
+  ShardedTrial trial(seed, /*coordinators=*/3, kRegions5, {.batch_window = window});
+  trial.Preload("okey", kKeys);
 
   Rng rng(seed * 131 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
+  ScheduleRandomLoad(trial, rng, kShardedLoad);
 
   // The churn schedule: 8 membership events spread through the load window, decided at
   // fire time from a forked deterministic stream. Adds promote a random spare replica;
@@ -316,11 +86,11 @@ void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
   auto adds = std::make_shared<int>(0);
   auto removes = std::make_shared<int>(0);
   auto epochs_seen = std::make_shared<std::vector<uint64_t>>();
-  ShardedCassandraStack* stack_ptr = &stack;
+  ShardedCassandraStack* stack_ptr = &trial.stack;
   for (int event = 0; event < 8; ++event) {
     const SimDuration at =
         Millis(300) + static_cast<SimDuration>(rng.NextBounded(Millis(2400)));
-    world.loop().Schedule(at, [stack_ptr, churn_rng, adds, removes, epochs_seen]() {
+    trial.world.loop().Schedule(at, [stack_ptr, churn_rng, adds, removes, epochs_seen]() {
       std::vector<NodeId> spares;
       for (const auto& replica : stack_ptr->cluster->replicas()) {
         const auto& ids = stack_ptr->coordinator_ids();
@@ -346,7 +116,7 @@ void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
     });
   }
 
-  world.loop().Run();
+  trial.world.loop().Run();
 
   EXPECT_GE(*adds, 1) << "churn trial never promoted a coordinator";
   EXPECT_GE(*removes, 1) << "churn trial never demoted a coordinator";
@@ -359,11 +129,11 @@ void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
   // order through acked versions AND replica convergence (churn may re-route a key's
   // writes to a new coordinator mid-stream), and reads observing only known values — a
   // rebalance must never surface a torn batch slice or a value from the wrong key.
-  CheckLoadOracles(load, *stack.cluster, "churn");
+  ExpectKvContract(trial, "churn");
 }
 
 TEST(BatchOracle, MembershipChurnAcrossWindows) {
-  const uint64_t seed = OracleSeed();
+  const uint64_t seed = SeedFromEnv();
   for (const SimDuration window : {Millis(0), Millis(5)}) {
     RunChurnOracleTrial(window, seed);
   }
@@ -390,78 +160,34 @@ TEST(BatchOracle, MembershipChurnAcrossWindows) {
 // a bit-identical fingerprint at every width: crash, detection, recovery, and replay all
 // ride the deterministic substrate. ICG_WAL_FAULTS=1 additionally enables slow-fsync +
 // torn-tail fault injection (the CI fault sweep).
-
-bool WalFaultsEnabled() {
-  const char* env = std::getenv("ICG_WAL_FAULTS");
-  return env != nullptr && *env == '1';
-}
-
-// Per-invocation contract when failures ARE injected: errors allowed, everything else
-// identical to CheckObservation.
-void CheckCrashObservation(const Observation& obs) {
-  SCOPED_TRACE("key=" + obs.key + " client=" + std::to_string(obs.client));
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_FALSE(obs.view_after_terminal) << "views delivered after the terminal view";
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
 std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) {
   SCOPED_TRACE("crash threads=" + std::to_string(threads) +
                " window_us=" + std::to_string(window) + " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  LoopGroup group(options);
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = window;
+  LoopGroup group({.threads = threads, .quantum = Millis(2)});
   KvConfig kv;
   kv.wal_fsync_service = Micros(120);  // acked => fsynced, with a real (simulated) cost
   kv.snapshot_every = 64;              // snapshots + WAL truncation exercise mid-run
-  if (WalFaultsEnabled()) {
+  if (EnvFlag("ICG_WAL_FAULTS")) {
     kv.wal_fsync_service = Micros(150);
     kv.wal_torn_tail = true;
   }
 
-  SimWorld world(seed * 13);
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, kv, binding,
-                                         Region::kIreland,
-                                         {Region::kFrankfurt, Region::kIreland,
-                                          Region::kVirginia, Region::kCalifornia,
-                                          Region::kOregon},
-                                         batch);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
-  for (CorrectableClient* client : clients) {
+  // Errors are legal in the failover window; nothing else is.
+  ShardedTrial trial(seed * 13, /*coordinators=*/3, kRegions5, {.batch_window = window}, kv,
+                     AllowedErrors::kAny);
+  ShardedCassandraStack& stack = trial.stack;
+  for (CorrectableClient* client : trial.clients) {
     // A request parked on a corpse has no coordinator-side timeout to save it: the
     // client-side invocation timeout is what closes those terminals.
     client->SetTimeout(Seconds(3));
   }
   stack.SetShardQueueLimit(32);  // failover-window backpressure: shed, don't queue
-
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
-  PlaceShardsAcrossLoops(group, world, stack);
+  trial.Preload("okey", kKeys);
+  PlaceShardsAcrossLoops(group, trial.world, stack);
   stack.EnableFailureDetection();  // 50 ms heartbeat, 3 missed probes => failover
 
   Rng rng(seed * 173 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
+  ScheduleRandomLoad(trial, rng, kShardedLoad);
 
   const uint64_t epoch_before = stack.ring_epoch();
   const NodeId victim =
@@ -509,92 +235,20 @@ std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) 
   EXPECT_FALSE(recovered->crashed());
   EXPECT_TRUE(recovered->last_recovery().bootstrap_complete);
 
-  // Per-invocation contract (errors legal in the failover window, nothing else is).
-  for (const auto& obs : load.observations) {
-    CheckCrashObservation(*obs);
-  }
+  // Zero acked loss, zero duplication, converged replicas, and reads of written values
+  // only — a torn WAL tail or half-replayed record must never surface.
+  ExpectKvContract(trial, "crash");
 
-  // Zero acked loss, zero duplication: per key, find the LAST acked write in
-  // submission order; every replica must converge to one common value whose version is
-  // >= that ack — and if equal, carrying exactly the acked value.
-  for (const auto& [key, writes] : *load.write_order) {
-    const Observation* last_acked = nullptr;
-    Version previous{};
-    for (const auto& write : writes) {
-      if (write->finals != 1) {
-        continue;
-      }
-      EXPECT_FALSE(write->ack_version < previous)
-          << "ack versions regressed for " << key;
-      previous = write->ack_version;
-      last_acked = write.get();
-    }
-    std::optional<VersionedValue> converged;
-    for (const auto& replica : stack.cluster->replicas()) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) {
-        continue;
-      }
-      if (!converged.has_value()) {
-        converged = stored;
-      } else {
-        EXPECT_EQ(*stored, *converged) << "replicas diverged for " << key;
-      }
-    }
-    if (last_acked != nullptr && converged.has_value()) {
-      EXPECT_FALSE(converged->version < last_acked->ack_version)
-          << "acked write lost for " << key;
-      if (converged->version == last_acked->ack_version) {
-        EXPECT_EQ(converged->value, last_acked->written_value)
-            << "acked version resurfaced with a different value for " << key;
-      }
-    }
-  }
-
-  // Reads observe only written values — a torn WAL tail or half-replayed record must
-  // never surface.
-  for (const auto& obs : load.observations) {
-    if (!obs->is_write && obs->finals == 1 && obs->final_value.found) {
-      const auto& history = (*load.submitted)[obs->key];
-      const bool known =
-          obs->final_value.value == "init" ||
-          std::find(history.begin(), history.end(), obs->final_value.value) !=
-              history.end();
-      EXPECT_TRUE(known) << "read of " << obs->key
-                         << " returned a value never written: " << obs->final_value.value;
-    }
-  }
-
-  // The cross-width fingerprint: every delivered level, terminal kind, final value and
-  // version, in creation order.
-  std::string fingerprint;
-  for (const auto& obs : load.observations) {
-    fingerprint += obs->key + (obs->is_write ? "W" : "R") + "[";
-    for (const ConsistencyLevel level : obs->delivered) {
-      fingerprint += std::to_string(static_cast<int>(level));
-    }
-    fingerprint += "]e" + std::to_string(obs->errors) + "=" + obs->final_value.value +
-                   "#" + std::to_string(obs->final_value.version.timestamp) + "." +
-                   std::to_string(obs->final_value.version.writer) + ";";
-  }
-  fingerprint += "|epoch=" + std::to_string(stack.ring_epoch()) +
-                 "|replayed=" + std::to_string(recovered->last_recovery().wal_records_replayed) +
-                 "|merged=" + std::to_string(recovered->last_recovery().bootstrap_keys_merged);
-  return fingerprint;
+  return trial.checker.Fingerprint() + "|epoch=" + std::to_string(stack.ring_epoch()) +
+         "|replayed=" + std::to_string(recovered->last_recovery().wal_records_replayed) +
+         "|merged=" + std::to_string(recovered->last_recovery().bootstrap_keys_merged);
 }
 
 TEST(BatchOracle, CrashFailoverRecoveryAcrossWidths) {
-  const uint64_t seed = OracleSeed();
+  const uint64_t seed = SeedFromEnv();
   for (const SimDuration window : {Millis(0), Millis(5)}) {
-    const std::string sequential = RunCrashOracleTrial(/*threads=*/0, window, seed);
-    EXPECT_FALSE(sequential.empty());
-    EXPECT_EQ(RunCrashOracleTrial(/*threads=*/2, window, seed), sequential);
-    EXPECT_EQ(RunCrashOracleTrial(/*threads=*/4, window, seed), sequential);
-    const char* width8 = std::getenv("ICG_ORACLE_WIDTH8");
-    if (width8 != nullptr && *width8 == '1') {
-      EXPECT_EQ(RunCrashOracleTrial(/*threads=*/8, window, seed), sequential);
-    }
+    ExpectWidthsAgree(
+        [&](int threads) { return RunCrashOracleTrial(threads, window, seed); });
   }
 }
 
@@ -613,48 +267,32 @@ void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
     stack.cluster->Preload(OracleKey(i), "init");
   }
 
+  IcgContractChecker checker;
   Rng rng(seed * 17 + static_cast<uint64_t>(window));
-  const int ops = 200;
-  std::vector<std::shared_ptr<Observation>> observations;
-  auto submitted = std::make_shared<std::map<std::string, std::vector<std::string>>>();
-  int write_counter = 0;
-
-  for (int i = 0; i < ops; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
+  int writes = 0;
+  for (int i = 0; i < 200; ++i) {
+    RandomOp op;
+    op.at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
     const bool is_write = rng.NextBool(0.3);
-    const std::string key = OracleKey(static_cast<int>(rng.NextBounded(kKeys)));
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    observations.push_back(obs);
+    op.key = OracleKey(static_cast<int>(rng.NextBounded(kKeys)));
+    op.kind = is_write ? OpKind::kWrite : OpKind::kIcgRead;
     if (is_write) {
-      const std::string value = "w" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kCausal;
-      world.loop().Schedule(at, [client = stack.client.get(), key, value, obs, submitted]() {
-        (*submitted)[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kCache;
-      obs->strongest = ConsistencyLevel::kCausal;
-      world.loop().Schedule(at, [client = stack.client.get(), key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs);
-      });
+      op.value = "w" + std::to_string(writes++);
     }
+    ScheduleOp(checker, world.loop(), *stack.client, op);
   }
 
   world.loop().Run();
-  for (const auto& obs : observations) {
-    CheckObservation(*obs, "causal");
-    EXPECT_EQ(obs->errors, 0);
-  }
+  checker.CheckClosed();
+  checker.CheckAckOrder();
+  checker.CheckReads("init");
   // Program order into the coordinating replica (its peers converge causally).
-  for (const auto& [key, values] : *submitted) {
-    const auto stored = stack.cluster->ReplicaIn(Region::kIreland)->LocalGet(key);
-    ASSERT_TRUE(stored.has_value());
-    EXPECT_EQ(*stored, values.back()) << key;
-  }
+  checker.CheckLastWrite(
+      [&stack](const std::string& key) {
+        return stack.cluster->ReplicaIn(Region::kIreland)->LocalGet(key);
+      },
+      "coordinating replica");
+  ExpectContract(checker, "causal");
   // Write-through coherence survived batching: the cache never holds a value that was
   // never written.
   for (int i = 0; i < kKeys; ++i) {
@@ -662,15 +300,13 @@ void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
     if (!cached.has_value() || !cached->found) {
       continue;
     }
-    const auto& history = (*submitted)[OracleKey(i)];
-    EXPECT_TRUE(cached->value == "init" ||
-                std::find(history.begin(), history.end(), cached->value) != history.end())
+    EXPECT_TRUE(cached->value == "init" || checker.Written(OracleKey(i), cached->value))
         << "cache holds unwritten value for " << OracleKey(i);
   }
 }
 
 TEST(BatchOracle, CachedCausalAcrossWindows) {
-  const uint64_t seed = OracleSeed();
+  const uint64_t seed = SeedFromEnv();
   for (const SimDuration window : {Millis(0), Millis(5)}) {
     RunCausalOracleTrial(window, seed);
   }

@@ -6,7 +6,7 @@
 //
 // The trial runs at thread widths 0 (deterministic sequential), 2, and 4 (and 8 when
 // ICG_ORACLE_WIDTH8=1 — the TSan job sets it). Every width must (a) leave every
-// observation oracle-clean — weakest-first monotone delivery, exactly one terminal,
+// invocation oracle-clean — weakest-first monotone delivery, exactly one terminal,
 // per-key program order into replica state — and (b) produce a bit-for-bit identical
 // outcome fingerprint, validating work-stealing threaded rounds against the sequential
 // driver over genuinely cross-loop message flows.
@@ -15,151 +15,40 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
 #include "src/sim/loop_group.h"
+#include "tests/integration/oracle_support.h"
 
 namespace icg {
 namespace {
-
-uint64_t OracleSeed() {
-  const char* env = std::getenv("ICG_ORACLE_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 12345;
-}
-
-bool Width8Enabled() {
-  const char* env = std::getenv("ICG_ORACLE_WIDTH8");
-  return env != nullptr && *env == '1';
-}
 
 constexpr int kCoordinators = 4;
 constexpr int kKeys = 36;
 constexpr int kClients = 3;
 constexpr int kOps = 300;
 
-std::string OracleKey(int index) { return "ikey" + std::to_string(index); }
-
-struct Observation {
-  bool is_write = false;
-  std::string key;
-  std::string written_value;
-  ConsistencyLevel weakest = ConsistencyLevel::kStrong;
-  ConsistencyLevel strongest = ConsistencyLevel::kStrong;
-  std::vector<ConsistencyLevel> delivered;
-  int finals = 0;
-  int errors = 0;
-  bool view_after_terminal = false;
-  OpResult final_value;
-  SimTime final_at = -1;  // virtual delivery time: part of the cross-width fingerprint
-};
-
-void Observe(Correctable<OpResult> c, const std::shared_ptr<Observation>& obs,
-             EventLoop* loop) {
-  c.SetCallbacks(
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->delivered.push_back(v.level);
-      },
-      [obs, loop](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->finals++;
-        obs->delivered.push_back(v.level);
-        obs->final_value = v.value;
-        obs->final_at = loop->Now();
-      },
-      [obs](const Status&) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->errors++;
-      });
-}
-
-void CheckObservation(const Observation& obs) {
-  SCOPED_TRACE("key=" + obs.key);
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_EQ(obs.errors, 0) << "no failure injected, so nothing may fail";
-  EXPECT_FALSE(obs.view_after_terminal);
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
-struct TrialState {
-  explicit TrialState(uint64_t seed) : world(seed) {}
-
-  SimWorld world;
-  std::unique_ptr<ShardedCassandraStack> stack;
-  std::vector<CorrectableClient*> clients;
-  std::vector<std::shared_ptr<Observation>> observations;
-  std::map<std::string, std::vector<std::string>> submitted;
-};
-
-// Everything observable about the run, serialized in creation order. Equal strings
-// across thread widths == bit-for-bit identical outcomes.
-std::string Fingerprint(const TrialState& trial) {
-  std::ostringstream out;
-  for (const auto& obs : trial.observations) {
-    out << obs->key << (obs->is_write ? "W" : "R") << "[";
-    for (const ConsistencyLevel level : obs->delivered) {
-      out << static_cast<int>(level);
-    }
-    out << "]=" << obs->final_value.value << "#" << obs->final_value.version.timestamp
-        << "." << obs->final_value.version.writer << "@" << obs->final_at << ";";
-  }
-  return out.str();
-}
+const std::vector<Region> kRegions4 = {Region::kFrankfurt, Region::kIreland, Region::kVirginia,
+                                       Region::kCalifornia};
 
 std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
   SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" + std::to_string(seed) +
                (adaptive ? " adaptive" : ""));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  options.adaptive_quantum = adaptive;
-  options.max_quantum = Millis(32);
-  LoopGroup group(options);
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = Millis(2);
-
-  TrialState trial(seed * 11);
-  trial.stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-      trial.world, kCoordinators, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia},
-      batch));
-  auto& frk = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kVirginia, batch);
-  trial.clients = {trial.stack->client(), frk.client.get(), vrg.client.get()};
-  for (int i = 0; i < kKeys; ++i) {
-    trial.stack->cluster->Preload(OracleKey(i), "init");
-  }
+  LoopGroup group({.threads = threads,
+                   .quantum = Millis(2),
+                   .adaptive_quantum = adaptive,
+                   .max_quantum = Millis(32)});
+  ShardedTrial trial(seed * 11, kCoordinators, kRegions4, {.batch_window = Millis(2)});
+  trial.Preload("ikey", kKeys);
 
   const IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, *trial.stack);
+      PlaceShardsAcrossLoops(group, trial.world, trial.stack);
   EXPECT_EQ(placement.replica_slots.size(), static_cast<size_t>(kCoordinators));
   // Every coordinator must have left the front loop, each on its own lane.
   std::set<int> lanes;
@@ -173,76 +62,20 @@ std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
   // Random client load from the front loop: reads at every level plus ICG reads, writes
   // key-partitioned per client so per-key program order is a checkable invariant.
   Rng rng(seed * 41);
-  EventLoop* front = &trial.world.loop();
-  int write_counter = 0;
-  for (int i = 0; i < kOps; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-    const bool is_write = rng.NextBool(0.25);
-    const int flavor = static_cast<int>(rng.NextBounded(3));
-    int key_index = static_cast<int>(rng.NextBounded(kKeys));
-    if (is_write) {
-      key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-    }
-    const std::string key = OracleKey(key_index);
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    trial.observations.push_back(obs);
-    CorrectableClient* client = trial.clients[client_index];
-
-    if (is_write) {
-      const std::string value =
-          "c" + std::to_string(client_index) + "-" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, value, obs, &trial]() {
-        trial.submitted[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs, front);
-      });
-    } else if (flavor == 0) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kWeak;
-      front->Schedule(at, [client, front, key, obs]() {
-        Observe(client->InvokeWeak(Operation::Get(key)), obs, front);
-      });
-    } else if (flavor == 1) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, obs]() {
-        Observe(client->InvokeStrong(Operation::Get(key)), obs, front);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs, front);
-      });
-    }
-  }
+  ScheduleRandomLoad(trial, rng, {0, Seconds(2), kOps, kKeys, "ikey"});
 
   group.RunAll();
   EXPECT_EQ(group.pending_messages(), 0u);
   // The placement must have been exercised: client<->coordinator flows cross loops.
   EXPECT_GT(group.metrics().Value("channel_messages"), 0);
 
-  for (const auto& obs : trial.observations) {
-    CheckObservation(*obs);
-  }
   // Per-key program order: the last client-submitted write is what every replica
   // converged to (replication + read repair ran across lanes).
-  for (const auto& [key, values] : trial.submitted) {
-    for (const auto& replica : trial.stack->cluster->replicas()) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) continue;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key;
-    }
-  }
+  ExpectKvContract(trial, "widths");
 
   ClientStats merged;
   ClientStatsGroup stats(1);
-  for (const auto& endpoint : trial.stack->endpoints()) {
+  for (const auto& endpoint : trial.stack.endpoints()) {
     stats.Absorb(0, endpoint->client->stats());
   }
   merged = stats.Merged();
@@ -253,7 +86,7 @@ std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
   // The barrier schedule itself is part of the contract: under adaptive quanta the
   // round widths are a function of virtual-time state only, so the exact barrier
   // sequence — not just the application outcome — must agree across widths.
-  return Fingerprint(trial) + "|rounds" + std::to_string(group.rounds()) + "|sched" +
+  return trial.checker.Fingerprint() + "|rounds" + std::to_string(group.rounds()) + "|sched" +
          std::to_string(group.barrier_schedule_hash());
 }
 
@@ -265,32 +98,15 @@ std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
 std::string RunPromotionTrial(int threads, uint64_t seed) {
   SCOPED_TRACE("promotion threads=" + std::to_string(threads) +
                " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  LoopGroup group(options);
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = Millis(2);
-
-  TrialState trial(seed * 13);
-  trial.stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-      trial.world, /*n_coordinators=*/3, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia,
-       Region::kOregon},
-      batch));
-  auto& frk = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kFrankfurt, batch);
-  trial.clients = {trial.stack->client(), frk.client.get(), trial.stack->client()};
-  for (int i = 0; i < kKeys; ++i) {
-    trial.stack->cluster->Preload(OracleKey(i), "init");
-  }
+  LoopGroup group({.threads = threads, .quantum = Millis(2)});
+  ShardedTrial trial(seed * 13, /*coordinators=*/3, kRegions5, {.batch_window = Millis(2)},
+                     KvConfig{}, AllowedErrors::kNone, /*client_regions=*/{Region::kFrankfurt});
+  trial.clients.push_back(trial.stack.client());  // the stack's client stands in twice
+  trial.Preload("ikey", kKeys);
 
   const IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, *trial.stack);
-  const auto& replicas = trial.stack->cluster->replicas();
+      PlaceShardsAcrossLoops(group, trial.world, trial.stack);
+  const auto& replicas = trial.stack.cluster->replicas();
   // Spares are laned too: 5 replica lanes + the front loop, all slots distinct.
   EXPECT_EQ(placement.replica_slots.size(), replicas.size());
   std::set<int> lanes(placement.replica_slots.begin(), placement.replica_slots.end());
@@ -298,45 +114,27 @@ std::string RunPromotionTrial(int threads, uint64_t seed) {
   EXPECT_EQ(lanes.count(placement.front_slot), 0u);
   EXPECT_EQ(group.size(), replicas.size() + 1);
 
+  // ICG reads and key-partitioned writes.
   Rng rng(seed * 41);
-  EventLoop* front = &trial.world.loop();
-  int write_counter = 0;
+  int writes = 0;
   for (int i = 0; i < kOps; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
+    RandomOp op;
+    op.at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
+    op.client = static_cast<size_t>(rng.NextBounded(kClients));
     const bool is_write = rng.NextBool(0.25);
     int key_index = static_cast<int>(rng.NextBounded(kKeys));
     if (is_write) {
-      key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
+      key_index = (key_index / kClients) * kClients + static_cast<int>(op.client);
+      op.kind = OpKind::kWrite;
+      op.value = "c" + std::to_string(op.client) + "-" + std::to_string(writes++);
     }
-    const std::string key = OracleKey(key_index);
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    trial.observations.push_back(obs);
-    CorrectableClient* client = trial.clients[client_index];
-    if (is_write) {
-      const std::string value =
-          "c" + std::to_string(client_index) + "-" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, value, obs, &trial]() {
-        trial.submitted[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs, front);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs, front);
-      });
-    }
+    op.key = "ikey" + std::to_string(key_index);
+    ScheduleOp(trial.checker, trial.world.loop(), *trial.clients[op.client], op);
   }
 
   std::vector<NodeId> spares;
   for (const auto& replica : replicas) {
-    const auto& ids = trial.stack->coordinator_ids();
+    const auto& ids = trial.stack.coordinator_ids();
     if (std::find(ids.begin(), ids.end(), replica->id()) == ids.end()) {
       spares.push_back(replica->id());
     }
@@ -346,17 +144,14 @@ std::string RunPromotionTrial(int threads, uint64_t seed) {
 
   group.RunUntil(Seconds(1));
   const NodeId promoted = spares[seed % spares.size()];
-  const uint64_t epoch_before = trial.stack->ring_epoch();
-  trial.stack->AddCoordinator(promoted);
-  EXPECT_EQ(trial.stack->ring_epoch(), epoch_before + 1);
-  EXPECT_EQ(trial.stack->coordinator_ids().size(), 4u);
+  const uint64_t epoch_before = trial.stack.ring_epoch();
+  trial.stack.AddCoordinator(promoted);
+  EXPECT_EQ(trial.stack.ring_epoch(), epoch_before + 1);
+  EXPECT_EQ(trial.stack.coordinator_ids().size(), 4u);
   group.RunAll();
   EXPECT_EQ(group.pending_messages(), 0u);
   EXPECT_GT(group.metrics().Value("channel_messages"), 0);
 
-  for (const auto& obs : trial.observations) {
-    CheckObservation(*obs);
-  }
   // The joiner really coordinates from its own lane: traffic reached it post-promotion.
   KvReplica* joined = nullptr;
   for (const auto& replica : replicas) {
@@ -370,53 +165,27 @@ std::string RunPromotionTrial(int threads, uint64_t seed) {
   }
   // Program order still converges across the membership change: client LWW stamps make
   // the last submitted write per key win no matter which coordinator applied it.
-  for (const auto& [key, values] : trial.submitted) {
-    for (const auto& replica : replicas) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) continue;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key;
-    }
-  }
-  return Fingerprint(trial) + "|epoch" + std::to_string(trial.stack->ring_epoch()) +
+  ExpectKvContract(trial, "promotion");
+  return trial.checker.Fingerprint() + "|epoch" + std::to_string(trial.stack.ring_epoch()) +
          "|promoted" + std::to_string(promoted);
 }
 
 TEST(IntraWorldOracle, LivePromotionOwnsItsLaneAcrossWidths) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunPromotionTrial(/*threads=*/0, seed);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunPromotionTrial(/*threads=*/2, seed), sequential);
-  EXPECT_EQ(RunPromotionTrial(/*threads=*/4, seed), sequential);
-  if (Width8Enabled()) {
-    EXPECT_EQ(RunPromotionTrial(/*threads=*/8, seed), sequential);
-  }
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunPromotionTrial(threads, seed); });
 }
 
 TEST(IntraWorldOracle, WidthsAgreeBitForBit) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunTrial(/*threads=*/0, seed);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunTrial(/*threads=*/2, seed), sequential);
-  EXPECT_EQ(RunTrial(/*threads=*/4, seed), sequential);
-  if (Width8Enabled()) {
-    EXPECT_EQ(RunTrial(/*threads=*/8, seed), sequential);
-  }
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunTrial(threads, seed); });
 }
 
 // Adaptive quanta under the full deployment: the same trial with round widths chasing
 // the earliest pending activity. The fingerprint includes the exact barrier schedule,
 // so this fails if adaptation ever consults anything but virtual-time state.
 TEST(IntraWorldOracle, AdaptiveQuantaAgreeBitForBit) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunTrial(/*threads=*/0, seed, /*adaptive=*/true);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunTrial(/*threads=*/2, seed, /*adaptive=*/true), sequential);
-  EXPECT_EQ(RunTrial(/*threads=*/4, seed, /*adaptive=*/true), sequential);
-  if (Width8Enabled()) {
-    EXPECT_EQ(RunTrial(/*threads=*/8, seed, /*adaptive=*/true), sequential);
-  }
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunTrial(threads, seed, /*adaptive=*/true); });
 }
 
 // Stats-driven live rebalancing: 4 coordinators packed onto 3 lanes (max_lanes), all
@@ -428,26 +197,11 @@ TEST(IntraWorldOracle, AdaptiveQuantaAgreeBitForBit) {
 std::string RunRebalanceTrial(int threads, uint64_t seed) {
   SCOPED_TRACE("rebalance threads=" + std::to_string(threads) +
                " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  LoopGroup group(options);
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-
-  TrialState trial(seed * 17);
-  trial.stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-      trial.world, kCoordinators, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia}));
-  auto& frk = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kVirginia);
-  trial.clients = {trial.stack->client(), frk.client.get(), vrg.client.get()};
+  LoopGroup group({.threads = threads, .quantum = Millis(2)});
+  ShardedTrial trial(seed * 17, kCoordinators, kRegions4);
 
   IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, *trial.stack, /*max_lanes=*/3);
+      PlaceShardsAcrossLoops(group, trial.world, trial.stack, /*max_lanes=*/3);
   EXPECT_EQ(placement.lane_slots.size(), 3u);
   EXPECT_EQ(placement.replica_slots.size(), static_cast<size_t>(kCoordinators));
   // Round-robin packing: replicas 0 and 3 share lane 0 — co-tenancy is what gives the
@@ -456,19 +210,19 @@ std::string RunRebalanceTrial(int threads, uint64_t seed) {
 
   // Aim every operation at keys PRIMARY-owned by replica 0, the lane-0 co-tenant: its
   // coordination work (plus replica 3's replication echo) makes lane 0 the hot lane.
-  const auto& replicas = trial.stack->cluster->replicas();
+  const auto& replicas = trial.stack.cluster->replicas();
   const NodeId hot_id = replicas[0]->id();
   std::vector<std::string> hot_keys;
   for (int k = 0; k < 400 && hot_keys.size() < 12; ++k) {
     const std::string key = "rebal" + std::to_string(k);
-    if (trial.stack->shard_map().PrimaryFor(key) == hot_id) {
+    if (trial.stack.shard_map().PrimaryFor(key) == hot_id) {
       hot_keys.push_back(key);
     }
   }
   EXPECT_GE(hot_keys.size(), 3u);
   if (hot_keys.size() < 3) return "no-hot-keys";
   for (const std::string& key : hot_keys) {
-    trial.stack->cluster->Preload(key, "init");
+    trial.stack.cluster->Preload(key, "init");
   }
 
   // The op schedule leaves a deliberate 300ms breather at [1.4s, 1.7s): a live
@@ -476,42 +230,23 @@ std::string RunRebalanceTrial(int threads, uint64_t seed) {
   // under continuous load every sample could catch it mid-quorum. Real rebalancers
   // have the same constraint — they move shards in lulls, not mid-request.
   Rng rng(seed * 29);
-  EventLoop* front = &trial.world.loop();
-  int write_counter = 0;
+  int writes = 0;
   for (int i = 0; i < kOps; ++i) {
-    SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(3) - Millis(300)));
-    if (at >= Millis(1400)) at += Millis(300);
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
+    RandomOp op;
+    op.at = static_cast<SimDuration>(rng.NextBounded(Seconds(3) - Millis(300)));
+    if (op.at >= Millis(1400)) op.at += Millis(300);
+    op.client = static_cast<size_t>(rng.NextBounded(kClients));
     const bool is_write = rng.NextBool(0.3);
     size_t key_index = static_cast<size_t>(rng.NextBounded(hot_keys.size()));
     if (is_write) {
       // Key-partitioned writes per client keep per-key program order checkable.
-      key_index = (key_index / kClients) * kClients + client_index;
-      if (key_index >= hot_keys.size()) key_index = client_index % hot_keys.size();
+      key_index = (key_index / kClients) * kClients + op.client;
+      if (key_index >= hot_keys.size()) key_index = op.client % hot_keys.size();
+      op.kind = OpKind::kWrite;
+      op.value = "c" + std::to_string(op.client) + "-" + std::to_string(writes++);
     }
-    const std::string key = hot_keys[key_index];
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    trial.observations.push_back(obs);
-    CorrectableClient* client = trial.clients[client_index];
-    if (is_write) {
-      const std::string value =
-          "c" + std::to_string(client_index) + "-" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, value, obs, &trial]() {
-        trial.submitted[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs, front);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      front->Schedule(at, [client, front, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs, front);
-      });
-    }
+    op.key = hot_keys[key_index];
+    ScheduleOp(trial.checker, trial.world.loop(), *trial.clients[op.client], op);
   }
 
   // Sample-and-rebalance between rounds; the 1550ms sample lands inside the load
@@ -529,7 +264,7 @@ std::string RunRebalanceTrial(int threads, uint64_t seed) {
   for (const int tick_ms : {500, 1000, 1550, 2000, 2500, 3000, 3500}) {
     group.RunUntil(Millis(tick_ms));
     const auto moves =
-        RebalanceShardPlacement(group, trial.world, *trial.stack, placement, advisor);
+        RebalanceShardPlacement(group, trial.world, trial.stack, placement, advisor);
     applied.insert(applied.end(), moves.begin(), moves.end());
   }
   group.RunAll();
@@ -542,23 +277,12 @@ std::string RunRebalanceTrial(int threads, uint64_t seed) {
 
   // The skew must actually have provoked at least one live migration.
   EXPECT_GE(applied.size(), 1u);
-  for (const auto& obs : trial.observations) {
-    CheckObservation(*obs);
-  }
   // Program order survives the migration: every replica converged to the last
   // submitted write per key even though its coordinator changed lanes mid-run.
-  for (const auto& [key, values] : trial.submitted) {
-    for (const auto& replica : replicas) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) continue;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key;
-    }
-  }
+  ExpectKvContract(trial, "rebalance");
 
   std::ostringstream out;
-  out << Fingerprint(trial) << "|moves:";
+  out << trial.checker.Fingerprint() << "|moves:";
   for (const PlacementMove& move : applied) {
     out << move.entity << ":" << move.from_slot << ">" << move.to_slot << ";";
   }
@@ -567,14 +291,8 @@ std::string RunRebalanceTrial(int threads, uint64_t seed) {
 }
 
 TEST(IntraWorldOracle, RebalanceMigratesHotShardAcrossWidths) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunRebalanceTrial(/*threads=*/0, seed);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunRebalanceTrial(/*threads=*/2, seed), sequential);
-  EXPECT_EQ(RunRebalanceTrial(/*threads=*/4, seed), sequential);
-  if (Width8Enabled()) {
-    EXPECT_EQ(RunRebalanceTrial(/*threads=*/8, seed), sequential);
-  }
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunRebalanceTrial(threads, seed); });
 }
 
 }  // namespace

@@ -3,200 +3,52 @@
 // sequential), 2, and 4. Each world carries the same 3-client random read/write load the
 // batch oracle uses, plus cross-world relay reads posted through the group's channel so
 // the striped MPSC path sees real mid-round traffic. Every width must (a) leave every
-// observation oracle-clean — weakest-first monotone delivery, exactly one terminal,
+// invocation oracle-clean — weakest-first monotone delivery, exactly one terminal,
 // per-key program order into replica state — and (b) produce a bit-for-bit identical
-// outcome fingerprint, validating the threaded modes against the sequential one.
+// outcome fingerprint, validating the threaded modes against the sequential one. Each
+// world has its own IcgContractChecker, driven only from that world's loop.
 //
 // The RNG seed comes from ICG_ORACLE_SEED (default 12345); CI sweeps several seeds.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
 #include "src/sim/loop_group.h"
+#include "tests/integration/oracle_support.h"
 
 namespace icg {
 namespace {
 
-uint64_t OracleSeed() {
-  const char* env = std::getenv("ICG_ORACLE_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 12345;
-}
-
 constexpr int kWorlds = 3;
 constexpr int kKeys = 39;
-constexpr int kClients = 3;
 constexpr int kOps = 220;
 constexpr int kRelays = 40;
 
-std::string OracleKey(int index) { return "okey" + std::to_string(index); }
-
-struct Observation {
-  bool is_write = false;
-  std::string key;
-  std::string written_value;
-  ConsistencyLevel weakest = ConsistencyLevel::kStrong;
-  ConsistencyLevel strongest = ConsistencyLevel::kStrong;
-  std::vector<ConsistencyLevel> delivered;
-  int finals = 0;
-  int errors = 0;
-  bool view_after_terminal = false;
-  OpResult final_value;
-  SimTime final_at = -1;  // virtual delivery time: part of the cross-width fingerprint
-};
-
-void Observe(Correctable<OpResult> c, const std::shared_ptr<Observation>& obs,
-             EventLoop* loop) {
-  c.SetCallbacks(
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->delivered.push_back(v.level);
-      },
-      [obs, loop](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->finals++;
-        obs->delivered.push_back(v.level);
-        obs->final_value = v.value;
-        obs->final_at = loop->Now();
-      },
-      [obs](const Status&) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->errors++;
-      });
-}
-
-void CheckObservation(const Observation& obs, const std::string& context) {
-  SCOPED_TRACE(context + " key=" + obs.key);
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_EQ(obs.errors, 0) << "no failure injected, so nothing may fail";
-  EXPECT_FALSE(obs.view_after_terminal);
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
-// One world's stack, clients, and bookkeeping. Worlds are independent: distinct seeds,
-// distinct key spaces (shared key names, separate clusters), one LoopGroup slot each.
-struct WorldUnderTest {
-  explicit WorldUnderTest(uint64_t seed) : world(seed) {}
-
-  SimWorld world;
-  std::unique_ptr<ShardedCassandraStack> stack;
-  std::vector<CorrectableClient*> clients;
-  std::vector<std::shared_ptr<Observation>> observations;
-  std::shared_ptr<std::map<std::string, std::vector<std::string>>> submitted =
-      std::make_shared<std::map<std::string, std::vector<std::string>>>();
-};
-
-// Everything observable about one world's run, serialized in creation order. Equal
-// strings across thread widths == bit-for-bit identical outcomes.
-std::string Fingerprint(const WorldUnderTest& wut) {
-  std::ostringstream out;
-  for (const auto& obs : wut.observations) {
-    out << obs->key << (obs->is_write ? "W" : "R") << "[";
-    for (const ConsistencyLevel level : obs->delivered) {
-      out << static_cast<int>(level);
-    }
-    out << "]=" << obs->final_value.value << "#" << obs->final_value.version.timestamp
-        << "." << obs->final_value.version.writer << "@" << obs->final_at << ";";
-  }
-  return out.str();
-}
-
-void ScheduleWorldLoad(WorldUnderTest& wut, Rng& rng) {
-  int write_counter = 0;
-  for (int i = 0; i < kOps; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-    const bool is_write = rng.NextBool(0.25);
-    const int flavor = static_cast<int>(rng.NextBounded(3));
-    int key_index = static_cast<int>(rng.NextBounded(kKeys));
-    if (is_write) {
-      key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-    }
-    const std::string key = OracleKey(key_index);
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    wut.observations.push_back(obs);
-    CorrectableClient* client = wut.clients[client_index];
-    EventLoop* loop = &wut.world.loop();
-
-    if (is_write) {
-      const std::string value = "c" + std::to_string(client_index) + "-" +
-                                std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      loop->Schedule(at, [client, loop, key, value, obs, submitted = wut.submitted]() {
-        (*submitted)[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs, loop);
-      });
-    } else if (flavor == 0) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kWeak;
-      loop->Schedule(at, [client, loop, key, obs]() {
-        Observe(client->InvokeWeak(Operation::Get(key)), obs, loop);
-      });
-    } else if (flavor == 1) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      loop->Schedule(at, [client, loop, key, obs]() {
-        Observe(client->InvokeStrong(Operation::Get(key)), obs, loop);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      loop->Schedule(at, [client, loop, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs, loop);
-      });
-    }
-  }
-}
+// Worlds are independent: distinct seeds, distinct key spaces (shared key names,
+// separate clusters), one LoopGroup slot and one checker each.
+using Worlds = std::vector<std::unique_ptr<ShardedTrial>>;
 
 // Cross-world relays: world `from` schedules a local event that Posts through the
 // group's channel to world `to`, where the task issues an ICG read on `to`'s own
 // client. The read runs entirely inside `to` (loop affinity holds); only the *trigger*
 // crosses loops, exercising the sender-stamped mid-round Post path.
-void ScheduleRelays(LoopGroup& group, std::vector<std::unique_ptr<WorldUnderTest>>& worlds,
-                    Rng& rng) {
+void ScheduleRelays(LoopGroup& group, Worlds& worlds, Rng& rng) {
   for (int i = 0; i < kRelays; ++i) {
     const int from = static_cast<int>(rng.NextBounded(kWorlds));
     const int to = static_cast<int>(rng.NextBounded(kWorlds));
     const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
-    const std::string key = OracleKey(static_cast<int>(rng.NextBounded(kKeys)));
+    const std::string key = "okey" + std::to_string(rng.NextBounded(kKeys));
 
-    auto obs = std::make_shared<Observation>();
-    obs->key = key;
-    obs->weakest = ConsistencyLevel::kWeak;
-    obs->strongest = ConsistencyLevel::kStrong;
-    WorldUnderTest* target = worlds[static_cast<size_t>(to)].get();
-    target->observations.push_back(obs);
-
-    worlds[static_cast<size_t>(from)]->world.loop().Schedule(at, [&group, to, target, key,
-                                                                  obs]() {
-      group.Post(to, /*when=*/0, [target, key, obs]() {
-        EventLoop* loop = &target->world.loop();
-        Observe(target->clients[0]->Invoke(Operation::Get(key)), obs, loop);
-      });
+    ShardedTrial* target = worlds[static_cast<size_t>(to)].get();
+    const size_t id = target->checker.Add(*target->clients[0], OpKind::kIcgRead, key);
+    worlds[static_cast<size_t>(from)]->world.loop().Schedule(at, [&group, to, target, id]() {
+      group.Post(to, /*when=*/0,
+                 [target, id]() { target->checker.Start(id, *target->clients[0]); });
     });
   }
 }
@@ -206,39 +58,22 @@ void ScheduleRelays(LoopGroup& group, std::vector<std::unique_ptr<WorldUnderTest
 // (slot = LoopGroup index) and sanity-checks the merged view.
 std::string RunTrial(int threads, uint64_t seed) {
   SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(5);
-  LoopGroup group(options);
+  LoopGroup group({.threads = threads, .quantum = Millis(5)});
   ClientStatsGroup stats(kWorlds);
 
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = Millis(2);
-
-  std::vector<std::unique_ptr<WorldUnderTest>> worlds;
+  Worlds worlds;
   for (int w = 0; w < kWorlds; ++w) {
-    auto wut = std::make_unique<WorldUnderTest>(seed + static_cast<uint64_t>(w) * 977);
-    wut->stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-        wut->world, /*n_coordinators=*/3, KvConfig{}, binding, Region::kIreland,
-        {Region::kFrankfurt, Region::kIreland, Region::kVirginia}, batch));
-    auto& frk = AddShardedCassandraClient(wut->world, *wut->stack, binding,
-                                          Region::kFrankfurt, batch);
-    auto& vrg = AddShardedCassandraClient(wut->world, *wut->stack, binding,
-                                          Region::kVirginia, batch);
-    wut->clients = {wut->stack->client(), frk.client.get(), vrg.client.get()};
-    for (int i = 0; i < kKeys; ++i) {
-      wut->stack->cluster->Preload(OracleKey(i), "init");
-    }
-    const int slot = PinWorld(group, wut->world);
+    worlds.push_back(std::make_unique<ShardedTrial>(
+        seed + static_cast<uint64_t>(w) * 977, /*coordinators=*/3, kRegions3,
+        BatchConfig{.batch_window = Millis(2)}));
+    worlds.back()->Preload("okey", kKeys);
+    const int slot = PinWorld(group, worlds.back()->world);
     EXPECT_EQ(slot, w);
-    worlds.push_back(std::move(wut));
   }
 
   Rng rng(seed * 41);
-  for (auto& wut : worlds) {
-    ScheduleWorldLoad(*wut, rng);
+  for (auto& world : worlds) {
+    ScheduleRandomLoad(*world, rng, {0, Seconds(2), kOps, kKeys, "okey"});
   }
   ScheduleRelays(group, worlds, rng);
 
@@ -247,24 +82,13 @@ std::string RunTrial(int threads, uint64_t seed) {
 
   std::ostringstream fingerprint;
   for (int w = 0; w < kWorlds; ++w) {
-    const WorldUnderTest& wut = *worlds[static_cast<size_t>(w)];
+    ShardedTrial& world = *worlds[static_cast<size_t>(w)];
     const std::string context = "world" + std::to_string(w);
-    for (const auto& obs : wut.observations) {
-      CheckObservation(*obs, context);
-    }
-    for (const auto& [key, values] : *wut.submitted) {
-      for (const auto& replica : wut.stack->cluster->replicas()) {
-        const auto stored = replica->LocalGet(key);
-        EXPECT_TRUE(stored.has_value()) << key;
-        if (!stored.has_value()) continue;
-        EXPECT_EQ(stored->value, values.back())
-            << "replica diverged from program order for " << key << " (" << context << ")";
-      }
-    }
-    for (const CorrectableClient* client : wut.clients) {
+    ExpectKvContract(world, context);
+    for (const CorrectableClient* client : world.clients) {
       stats.Absorb(static_cast<size_t>(w), client->stats());
     }
-    fingerprint << "==" << context << "==" << Fingerprint(wut);
+    fingerprint << "==" << context << "==" << world.checker.Fingerprint();
   }
 
   // Merged stats must cover every invocation the trial issued (kOps per world plus the
@@ -283,11 +107,8 @@ std::string RunTrial(int threads, uint64_t seed) {
 }
 
 TEST(LoopGroupOracle, WidthsAgreeBitForBit) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunTrial(/*threads=*/0, seed);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunTrial(/*threads=*/2, seed), sequential);
-  EXPECT_EQ(RunTrial(/*threads=*/4, seed), sequential);
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunTrial(threads, seed); });
 }
 
 }  // namespace

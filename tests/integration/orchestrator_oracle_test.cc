@@ -22,37 +22,19 @@
 // The RNG seed comes from ICG_ORACLE_SEED (default 12345); CI sweeps several seeds.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
 #include "src/harness/orchestrator.h"
 #include "src/sim/loop_group.h"
+#include "tests/integration/oracle_support.h"
 
 namespace icg {
 namespace {
-
-uint64_t OracleSeed() {
-  const char* env = std::getenv("ICG_ORACLE_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 12345;
-}
-
-bool Width8Enabled() {
-  const char* env = std::getenv("ICG_ORACLE_WIDTH8");
-  return env != nullptr && *env == '1';
-}
 
 constexpr int kReplicas = 5;
 constexpr int kStartCoordinators = 2;
@@ -61,172 +43,21 @@ constexpr int kClients = 3;
 constexpr size_t kQueueLimit = 8;
 constexpr SimDuration kRetryBackoff = Millis(50);
 
-std::string OracleKey(int index) { return "akey" + std::to_string(index); }
-
-struct Observation {
-  bool is_write = false;
-  std::string key;
-  ConsistencyLevel weakest = ConsistencyLevel::kStrong;
-  ConsistencyLevel strongest = ConsistencyLevel::kStrong;
-  std::vector<ConsistencyLevel> delivered;
-  int finals = 0;
-  int errors = 0;
-  StatusCode error_code = StatusCode::kOk;
-  bool view_after_terminal = false;
-  OpResult final_value;
-  SimTime final_at = -1;
-};
-
-// Every invocation owes the ICG contract: exactly one terminal, no views after it,
-// monotone weakest-first delivery. The ONE sanctioned terminal error is a retryable
-// overload shed — backpressure is how the deployment signals the controller, so the
-// oracle admits it (and the workload retries it) but nothing else may fail.
-void CheckObservation(const Observation& obs) {
-  SCOPED_TRACE("key=" + obs.key);
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  if (obs.errors == 1) {
-    EXPECT_EQ(obs.error_code, StatusCode::kOverloaded)
-        << "only backpressure sheds may fail an invocation";
-  }
-  EXPECT_FALSE(obs.view_after_terminal);
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
-struct TrialState {
-  explicit TrialState(uint64_t seed) : world(seed) {}
-
-  SimWorld world;
-  std::unique_ptr<ShardedCassandraStack> stack;
-  std::vector<std::shared_ptr<Observation>> observations;
-  std::map<std::string, std::vector<std::string>> submitted;
-  int64_t shed_attempts = 0;
-};
-
-// Submits one logical operation, retrying overload sheds after a virtual-time backoff.
-// Sheds surface two ways and both retry: synchronously at admission (queue over limit
-// when the invocation routes) and asynchronously at cohort flush (the batch window
-// held the op while the shard went over). A synchronous shed never creates an
-// Observation; an async shed closes its Observation with the one sanctioned error and
-// re-invokes — a fresh invocation with a fresh LWW stamp, so `submitted` (appended at
-// admission, un-appended on a shed) always lists admitted writes in stamp order.
-void Launch(TrialState& trial, EventLoop* front, CorrectableClient* client,
-            bool is_write, int flavor, const std::string& key,
-            const std::string& value) {
-  Correctable<OpResult> c =
-      is_write      ? client->InvokeStrong(Operation::Put(key, value))
-      : flavor == 0 ? client->InvokeWeak(Operation::Get(key))
-      : flavor == 1 ? client->InvokeStrong(Operation::Get(key))
-                    : client->Invoke(Operation::Get(key));
-  const auto retry = [&trial, front, client, is_write, flavor, key, value]() {
-    front->Schedule(kRetryBackoff, [&trial, front, client, is_write, flavor, key,
-                                    value]() {
-      Launch(trial, front, client, is_write, flavor, key, value);
-    });
-  };
-  if (c.state() == CorrectableState::kError &&
-      c.error().code() == StatusCode::kOverloaded) {
-    ++trial.shed_attempts;
-    retry();
-    return;
-  }
-  auto obs = std::make_shared<Observation>();
-  obs->is_write = is_write;
-  obs->key = key;
-  if (is_write || flavor == 1) {
-    obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-  } else if (flavor == 0) {
-    obs->weakest = obs->strongest = ConsistencyLevel::kWeak;
-  } else {
-    obs->weakest = ConsistencyLevel::kWeak;
-    obs->strongest = ConsistencyLevel::kStrong;
-  }
-  if (is_write) {
-    trial.submitted[key].push_back(value);
-  }
-  trial.observations.push_back(obs);
-  c.SetCallbacks(
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->delivered.push_back(v.level);
-      },
-      [obs, front](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->finals++;
-        obs->delivered.push_back(v.level);
-        obs->final_value = v.value;
-        obs->final_at = front->Now();
-      },
-      [obs, retry, &trial, is_write, key, value](const Status& status) {
-        if (obs->finals + obs->errors > 0) obs->view_after_terminal = true;
-        obs->errors++;
-        obs->error_code = status.code();
-        if (status.code() == StatusCode::kOverloaded) {
-          ++trial.shed_attempts;
-          if (is_write) {
-            // The shed write never applied; drop it so `submitted` keeps listing
-            // exactly the admitted-and-applied stamps in order (values are unique).
-            auto& values = trial.submitted[key];
-            values.erase(std::remove(values.begin(), values.end(), value),
-                         values.end());
-          }
-          retry();
-        }
-      });
-}
-
-std::string Fingerprint(const TrialState& trial) {
-  std::ostringstream out;
-  for (const auto& obs : trial.observations) {
-    out << obs->key << (obs->is_write ? "W" : "R") << "[";
-    for (const ConsistencyLevel level : obs->delivered) {
-      out << static_cast<int>(level);
-    }
-    out << "]=" << obs->final_value.value << "#" << obs->final_value.version.timestamp
-        << "." << obs->final_value.version.writer << "@" << obs->final_at << ";";
-  }
-  return out.str();
-}
-
 std::string RunAutoscaleTrial(int threads, uint64_t seed) {
   SCOPED_TRACE("autoscale threads=" + std::to_string(threads) +
                " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  LoopGroup group(options);
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-
-  TrialState trial(seed * 19);
-  trial.stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-      trial.world, kStartCoordinators, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia,
-       Region::kOregon}));
-  auto& frk = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(trial.world, *trial.stack, binding,
-                                        Region::kVirginia);
-  std::vector<CorrectableClient*> clients = {trial.stack->client(), frk.client.get(),
-                                             vrg.client.get()};
-  trial.stack->SetShardQueueLimit(kQueueLimit);
-  for (int i = 0; i < kKeys; ++i) {
-    trial.stack->cluster->Preload(OracleKey(i), "init");
-  }
+  LoopGroup group({.threads = threads, .quantum = Millis(2)});
+  // The ONE sanctioned terminal error is a retryable overload shed — backpressure is
+  // how the deployment signals the controller, so the oracle admits it (and the
+  // workload retries it) but nothing else may fail.
+  ShardedTrial trial(seed * 19, kStartCoordinators, kRegions5, BatchConfig{}, KvConfig{},
+                     AllowedErrors::kOverloadOnly);
+  int64_t shed_attempts = 0;
+  trial.stack.SetShardQueueLimit(kQueueLimit);
+  trial.Preload("akey", kKeys);
 
   IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, *trial.stack);
+      PlaceShardsAcrossLoops(group, trial.world, trial.stack);
   EXPECT_EQ(group.size(), kReplicas + 1);
 
   // The controller under test. min_coordinators = kStartCoordinators gives the
@@ -236,7 +67,7 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
   // ride the idle intervals without perturbing the episode.
   OrchestratorOptions orch_options;
   orch_options.min_coordinators = kStartCoordinators;
-  Orchestrator orchestrator(&group, &trial.world, trial.stack.get(), orch_options);
+  Orchestrator orchestrator(&group, &trial.world, &trial.stack, orch_options);
   PlacementAdvisorOptions advisor_options;
   advisor_options.hot_ratio = 4.0;
   advisor_options.min_total_load = 1 << 20;
@@ -247,39 +78,24 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
   // Offered load: ~80 ops/s for 2s, a 10x ramp (~800 ops/s) for 1.5s, then ~80 ops/s
   // again for 2s. Writes are key-partitioned per client so per-key program order stays
   // a checkable invariant even with shed-and-retry in the mix.
-  struct Phase {
-    SimTime start;
-    SimDuration length;
-    int ops;
-  };
-  const Phase phases[] = {
-      {0, Seconds(2), 160},
-      {Seconds(2), Millis(1500), 1200},
-      {Seconds(2) + Millis(1500), Seconds(2), 160},
+  const LoadShape phases[] = {
+      {0, Seconds(2), 160, kKeys, "akey"},
+      {Seconds(2), Millis(1500), 1200, kKeys, "akey"},
+      {Seconds(2) + Millis(1500), Seconds(2), 160, kKeys, "akey"},
   };
   Rng rng(seed * 53);
   EventLoop* front = &trial.world.loop();
-  int write_counter = 0;
-  for (const Phase& phase : phases) {
+  int writes = 0;
+  for (const LoadShape& phase : phases) {
     for (int i = 0; i < phase.ops; ++i) {
-      const SimTime at =
-          phase.start + static_cast<SimTime>(rng.NextBounded(phase.length));
-      const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-      const bool is_write = rng.NextBool(0.25);
-      const int flavor = static_cast<int>(rng.NextBounded(3));
-      int key_index = static_cast<int>(rng.NextBounded(kKeys));
-      if (is_write) {
-        key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-      }
-      const std::string key = OracleKey(key_index);
-      std::string value;
-      if (is_write) {
-        value = "c" + std::to_string(client_index) + "-" +
-                std::to_string(write_counter++);
-      }
-      CorrectableClient* client = clients[client_index];
-      front->Schedule(at, [&trial, front, client, is_write, flavor, key, value]() {
-        Launch(trial, front, client, is_write, flavor, key, value);
+      const RandomOp op = DrawOp(rng, phase, kClients, writes);
+      // Sheds surface at admission (queue over limit) and at cohort flush (the window
+      // held the op while the shard went over); both retry, so program order lists
+      // exactly the admitted writes.
+      CorrectableClient* client = trial.clients[op.client];
+      front->Schedule(op.at, [&trial, &shed_attempts, front, client, op]() {
+        trial.checker.StartRetryingSheds(*client, *front, op.kind, op.key, op.value,
+                                         kRetryBackoff, [&shed_attempts]() { ++shed_attempts; });
       });
     }
   }
@@ -292,25 +108,14 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
   EXPECT_EQ(group.pending_messages(), 0u);
   EXPECT_GT(group.metrics().Value("channel_messages"), 0);
 
-  for (const auto& obs : trial.observations) {
-    CheckObservation(*obs);
-  }
   // Per-key program order across every controller action: each replica converged to
   // the last admitted write whatever the ring did in between.
-  for (const auto& [key, values] : trial.submitted) {
-    for (const auto& replica : trial.stack->cluster->replicas()) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) continue;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key;
-    }
-  }
+  ExpectKvContract(trial, "autoscale");
 
   // Episode shape. The ramp must overflow the shard queues and provoke a scale-out;
   // once load settles the controller must hand back a quiescent deployment: window at
   // the bottom rung, ring back at the floor, and NO actions in the settle window.
-  EXPECT_GT(trial.shed_attempts, 0) << "the 10x ramp never overflowed a shard queue";
+  EXPECT_GT(shed_attempts, 0) << "the 10x ramp never overflowed a shard queue";
   int scale_outs = 0;
   for (const OrchestratorEvent& event : orchestrator.events()) {
     if (event.kind == ControlActionKind::kScaleOut) ++scale_outs;
@@ -320,7 +125,7 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
   }
   EXPECT_GE(scale_outs, 1);
   EXPECT_EQ(orchestrator.window_index(), 0u);
-  EXPECT_EQ(trial.stack->coordinator_ids().size(),
+  EXPECT_EQ(trial.stack.coordinator_ids().size(),
             static_cast<size_t>(kStartCoordinators));
 
   // At most one direction flip per knob per episode: the window may widen then come
@@ -353,22 +158,16 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
 
   // The applied-action log is part of the cross-width contract: same decisions, same
   // virtual timestamps, same ring epochs at every LoopGroup width.
-  return Fingerprint(trial) + "|orch:" + orchestrator.EventLogFingerprint() + "|epoch" +
-         std::to_string(trial.stack->ring_epoch()) + "|sheds" +
-         std::to_string(trial.shed_attempts) + "|rounds" +
+  return trial.checker.Fingerprint() + "|orch:" + orchestrator.EventLogFingerprint() + "|epoch" +
+         std::to_string(trial.stack.ring_epoch()) + "|sheds" +
+         std::to_string(shed_attempts) + "|rounds" +
          std::to_string(group.rounds()) + "|sched" +
          std::to_string(group.barrier_schedule_hash());
 }
 
 TEST(OrchestratorOracle, ControlDecisionsAreBitIdenticalAcrossWidths) {
-  const uint64_t seed = OracleSeed();
-  const std::string sequential = RunAutoscaleTrial(/*threads=*/0, seed);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(RunAutoscaleTrial(/*threads=*/2, seed), sequential);
-  EXPECT_EQ(RunAutoscaleTrial(/*threads=*/4, seed), sequential);
-  if (Width8Enabled()) {
-    EXPECT_EQ(RunAutoscaleTrial(/*threads=*/8, seed), sequential);
-  }
+  const uint64_t seed = SeedFromEnv();
+  ExpectWidthsAgree([seed](int threads) { return RunAutoscaleTrial(threads, seed); });
 }
 
 }  // namespace

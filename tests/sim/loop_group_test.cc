@@ -504,22 +504,6 @@ TEST(LoopGroup, FusedLanesAreInvisibleToDeterminism) {
   EXPECT_EQ(sequential.fingerprint, RunMesh(4, /*threads=*/0, kHeavyBurst));
 }
 
-TEST(LoopGroup, PinWorkersIsAGracefulOptIn) {
-  LoopGroup::Options options;
-  options.threads = 2;
-  options.quantum = 500;
-  options.pin_workers = true;
-  Mesh mesh(4, options);
-  for (int i = 0; i < 4; ++i) {
-    mesh.StartChain(i, /*hops=*/20, "chain" + std::to_string(i));
-  }
-  mesh.group.RunAll();
-  // Pinning may be refused (non-Linux, restricted sandbox) but never breaks the run.
-  EXPECT_GE(mesh.group.workers_pinned(), 0);
-  EXPECT_LE(mesh.group.workers_pinned(), mesh.group.workers_started());
-  EXPECT_EQ(mesh.Fingerprint(), RunMesh(4, /*threads=*/0));
-}
-
 TEST(LoopGroup, ChannelMetricsCountInSequentialModeToo) {
   LoopGroup::Options options;
   options.threads = 0;
