@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -60,52 +59,36 @@ void AblateFlushCost() {
 void AblateConfirmations() {
   bench::Table table({"write ratio", "divergence", "CC2 (kB/op)", "*CC2 (kB/op)", "saving"});
   for (const double write_ratio : {0.0, 0.05, 0.2, 0.5}) {
-    double kb[2];
+    double kb[2] = {0, 0};
     double divergence = 0;
     for (const bool confirmations : {false, true}) {
-      SimWorld world(77);
-      CassandraBindingConfig binding;
-      binding.strong_read_quorum = 2;
-      binding.confirmations = confirmations;
       // Divergence needs remote writers: the 3-client deployment of Figures 7/8.
-      auto stack = MakeCassandraStack(world, KvConfig{}, binding);
-      auto frk_client =
-          AddCassandraClient(world, stack, binding, Region::kFrankfurt, Region::kVirginia);
-      auto vrg_client =
-          AddCassandraClient(world, stack, binding, Region::kVirginia, Region::kIreland);
+      FlatTrial trial(77, {.confirmations = confirmations});
+      SimWorld& world = trial.world;
       WorkloadConfig workload_config;
       workload_config.record_count = kRecords;
       workload_config.read_proportion = 1.0 - write_ratio;
       workload_config.update_proportion = write_ratio;
       workload_config.request_distribution = RequestDistribution::kLatest;
       workload_config.field_count = 10;
-      PreloadYcsbDataset(stack.cluster.get(), workload_config);
+      PreloadYcsbDataset(trial.stack.cluster.get(), workload_config);
 
       RunnerConfig runner_config;
       runner_config.threads = 60;
       runner_config.duration = Seconds(45);
       runner_config.warmup = Seconds(10);
       runner_config.cooldown = 0;
-      CoreWorkload w_irl(workload_config, 77);
-      CoreWorkload w_frk(workload_config, 78);
-      CoreWorkload w_vrg(workload_config, 79);
-      LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), KvMode::kIcg),
-                     runner_config);
-      LoadRunner frk(&world.loop(), &w_frk,
-                     MakeKvExecutor(frk_client.client.get(), KvMode::kIcg), runner_config);
-      LoadRunner vrg(&world.loop(), &w_vrg,
-                     MakeKvExecutor(vrg_client.client.get(), KvMode::kIcg), runner_config);
-      irl.Begin();
-      frk.Begin();
-      vrg.Begin();
+      MultiRunner runner(&world.loop(), runner_config);
+      AddYcsbClients(runner, trial.clients, workload_config, 77, KvMode::kIcg);
+      runner.Begin();
       world.loop().Schedule(runner_config.warmup,
                             [&world]() { world.network().ResetStats(); });
       world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
-      const RunnerResult result = irl.Collect();
+      const RunnerResult result = runner.CollectClient(0);
       kb[confirmations ? 1 : 0] =
           result.measured_ops == 0
               ? 0.0
-              : static_cast<double>(stack.kv_client->LinkBytes()) /
+              : static_cast<double>(trial.stack.kv_client->LinkBytes()) /
                     static_cast<double>(result.measured_ops) / 1000.0;
       if (confirmations) {
         divergence = result.DivergencePercent();

@@ -21,17 +21,14 @@
 // written); output includes BENCH_autoscale_load.json with the phase throughputs, the
 // ramp-following delay, shed decay, the controller's applied-action log, and the
 // oracle counters.
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/harness/icg_contract.h"
 #include "src/harness/orchestrator.h"
+#include "src/harness/scenario.h"
 #include "src/sim/loop_group.h"
 
 namespace icg {
@@ -41,20 +38,14 @@ constexpr SimDuration kBucket = Millis(250);
 constexpr SimDuration kRetryBackoff = Millis(50);
 constexpr int kKeys = 48;
 constexpr int kClients = 3;
-
-std::string Key(int index) { return "akey" + std::to_string(index); }
+const std::string kKeyPrefix = "akey";
 
 }  // namespace
 }  // namespace icg
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const uint64_t seed = 42;
   const double low_rate = 150.0;
@@ -81,31 +72,21 @@ int main(int argc, char** argv) {
   group_options.quantum = Millis(2);
   LoopGroup group(group_options);
 
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeShardedCassandraStack(
-      world, /*n_coordinators=*/2, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia,
-       Region::kOregon});
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-  std::vector<CorrectableClient*> clients = {stack.client(), frk.client.get(),
-                                             vrg.client.get()};
+  // Overload sheds are the one sanctioned error: each is retried.
+  ShardedTrial trial(seed, /*coordinators=*/2, kRegions5, BatchConfig{}, KvConfig{},
+                     AllowedErrors::kOverloadOnly);
+  ShardedCassandraStack& stack = trial.stack;
+  IcgContractChecker& checker = trial.checker;
   stack.SetShardQueueLimit(8);
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(Key(i), "init");
-  }
+  trial.Preload(kKeyPrefix, kKeys);
 
-  IntraWorldPlacement placement = PlaceShardsAcrossLoops(group, world, stack);
+  IntraWorldPlacement placement = PlaceShardsAcrossLoops(group, trial.world, stack);
 
   OrchestratorOptions orch_options;
   orch_options.min_coordinators = 2;
-  Orchestrator orchestrator(&group, &world, &stack, orch_options);
+  Orchestrator orchestrator(&group, &trial.world, &stack, orch_options);
   orchestrator.Start();
 
-  // Overload sheds are the one sanctioned error: each is retried.
-  IcgContractChecker checker(AllowedErrors::kOverloadOnly);
   bench::RateBuckets completions(kBucket, run_end);
   bench::RateBuckets shed_buckets(kBucket, run_end);
   int64_t submitted = 0;  // logical operations (excluding retries)
@@ -123,7 +104,7 @@ int main(int argc, char** argv) {
       {ramp_end, phase_tail, static_cast<int>(low_rate * ToSeconds(phase_tail))},
   };
   Rng rng(seed * 7);
-  EventLoop* front = &world.loop();
+  EventLoop* front = &trial.world.loop();
   int write_counter = 0;
   for (const Phase& phase : phases) {
     for (int i = 0; i < phase.ops; ++i) {
@@ -135,13 +116,13 @@ int main(int argc, char** argv) {
       if (is_write) {
         key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
       }
-      const std::string key = Key(key_index);
+      const std::string key = kKeyPrefix + std::to_string(key_index);
       std::string value;
       if (is_write) {
         value = "c" + std::to_string(client_index) + "-" +
                 std::to_string(write_counter++);
       }
-      CorrectableClient* client = clients[client_index];
+      CorrectableClient* client = trial.clients[client_index];
       const OpKind kind = is_write ? OpKind::kWrite : OpKind::kIcgRead;
       submitted++;
       // One logical operation, retried on overload sheds until it completes.
@@ -169,18 +150,10 @@ int main(int argc, char** argv) {
   const double tail_rate = completions.Rate(ramp_end + Seconds(1), load_end);
   const double follow_ratio = pre_ramp > 0 ? ramp_rate / pre_ramp : 0.0;
 
-  // When did throughput first track the ramp? First bucket at or after ramp_start
-  // whose rate reaches 5x the pre-ramp plateau.
-  double followed_after_ms = -1.0;
-  for (size_t i = completions.IndexOf(ramp_start);
-       i < completions.IndexOf(ramp_end) && i < completions.size(); ++i) {
-    const double rate = completions.RateAt(i);
-    if (rate >= 5.0 * pre_ramp) {
-      followed_after_ms =
-          ToMillis(static_cast<SimTime>(i) * kBucket - ramp_start + kBucket);
-      break;
-    }
-  }
+  // When did throughput first track the ramp? The end of the first bucket at or after
+  // ramp_start whose rate reaches 5x the pre-ramp plateau.
+  const double followed_after_ms =
+      completions.MillisToReach(5.0 * pre_ramp, ramp_start, ramp_end);
 
   // Shed decay: nothing may shed from one second after the load returns to low rate.
   const int64_t sheds = shed_buckets.Count(0);
@@ -259,9 +232,7 @@ int main(int argc, char** argv) {
   json.Add("oracle.submitted", submitted);
   json.Add("oracle.completed", checker.finals());
   json.Add("oracle.unexpected_errors", checker.count(Violation::kDisallowedError));
-  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
-  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
-  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
+  bench::AddViolationCounts(json, checker);
   json.Write();
 
   return oracle_clean && followed && controller_acted && sheds_decayed ? 0 : 1;

@@ -15,14 +15,11 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_batch_window.json with throughput, latencies, link
 // traffic, and the batching counters for every window.
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/ycsb/multi_runner.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -47,23 +44,10 @@ struct TrialResult {
 
 TrialResult RunTrial(SimDuration window, int threads_per_client, SimDuration duration,
                      SimDuration elide, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  BatchConfig batch;
-  batch.batch_window = window;
-
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, KvConfig{}, binding,
-                                         Region::kIreland,
-                                         {Region::kFrankfurt, Region::kIreland,
-                                          Region::kVirginia},
-                                         batch);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-
+  ShardedTrial trial(seed, /*coordinators=*/3, kRegions3, {.batch_window = window});
   const WorkloadConfig workload =
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload);
 
   RunnerConfig config;
   config.threads = threads_per_client;
@@ -71,26 +55,23 @@ TrialResult RunTrial(SimDuration window, int threads_per_client, SimDuration dur
   config.warmup = elide;
   config.cooldown = elide;
 
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeKvExecutor(stack.client(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 2, MakeKvExecutor(frk.client.get(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 3, MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
+  MultiRunner runner(&trial.world.loop(), config);
+  AddYcsbClients(runner, trial.clients, workload, seed * 3 + 1, KvMode::kIcg);
 
-  TrialResult trial;
-  trial.load = runner.Run();
-  for (const auto& endpoint : stack.endpoints()) {
+  TrialResult result;
+  result.load = runner.Run();
+  for (const auto& endpoint : trial.stack.endpoints()) {
     for (const auto& kv_client : endpoint->kv_clients) {
-      trial.client_link_messages += kv_client->LinkMessages();
-      trial.client_link_bytes += kv_client->LinkBytes();
+      result.client_link_messages += kv_client->LinkMessages();
+      result.client_link_bytes += kv_client->LinkBytes();
     }
   }
-  for (const CorrectableClient* client :
-       {stack.client(), frk.client.get(), vrg.client.get()}) {
-    trial.cross_tick_batches += client->stats().cross_tick_batches;
-    trial.coalesced_reads += client->stats().coalesced_reads;
-    trial.batched_writes += client->stats().batched_writes;
+  for (const CorrectableClient* client : trial.clients) {
+    result.cross_tick_batches += client->stats().cross_tick_batches;
+    result.coalesced_reads += client->stats().coalesced_reads;
+    result.batched_writes += client->stats().batched_writes;
   }
-  return trial;
+  return result;
 }
 
 }  // namespace
@@ -98,12 +79,7 @@ TrialResult RunTrial(SimDuration window, int threads_per_client, SimDuration dur
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const int threads = smoke ? 32 : 48;
   const SimDuration duration = smoke ? Seconds(5) : Seconds(30);

@@ -1,12 +1,14 @@
-// Shared output helpers for the figure-reproduction benchmarks: aligned tables with a
-// header naming the paper figure being regenerated, plus machine-readable JSON summaries
-// (BENCH_<name>.json) so CI and perf-trajectory tooling can consume bench results
-// without parsing tables.
+// Shared helpers for the figure-reproduction benchmarks: the --smoke flag, aligned
+// tables with a header naming the paper figure being regenerated, plus machine-readable
+// JSON summaries (BENCH_<name>.json) so CI and perf-trajectory tooling can consume bench
+// results without parsing tables.
 #ifndef ICG_BENCH_BENCH_UTIL_H_
 #define ICG_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -14,8 +16,25 @@
 
 #include "src/common/histogram.h"
 #include "src/common/types.h"
+#include "src/harness/icg_contract.h"
 
 namespace icg::bench {
+
+// The one flag the load benches take: true for --smoke, which shortens the trial. Any
+// other argument prints a usage line on stderr and exits 2, before the bench has run or
+// written anything.
+inline bool ParseSmokeFlag(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") != 0) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s [--smoke]\n", argv[0],
+                   argv[i], argv[0]);
+      std::exit(2);
+    }
+    smoke = true;
+  }
+  return smoke;
+}
 
 inline void PrintHeader(const std::string& figure, const std::string& description) {
   std::printf("\n=== %s ===\n%s\n\n", figure.c_str(), description.c_str());
@@ -100,6 +119,25 @@ class RateBuckets {
     return last <= first ? 0.0
                          : static_cast<double>(Count(from, to)) /
                                ToSeconds(static_cast<SimDuration>(last - first) * width_);
+  }
+  // The lowest bucket rate over the same buckets (+infinity when there are none): a
+  // transition's dip.
+  double MinRate(SimTime from, SimTime to) const {
+    double lowest = std::numeric_limits<double>::infinity();
+    for (size_t i = IndexOf(from); i < End(to); ++i) {
+      lowest = std::min(lowest, RateAt(i));
+    }
+    return lowest;
+  }
+  // Milliseconds from `from` to the end of the first of those buckets whose rate reaches
+  // `rate`, or -1 when none does: how long a transition took to recover.
+  double MillisToReach(double rate, SimTime from, SimTime to) const {
+    for (size_t i = IndexOf(from); i < End(to); ++i) {
+      if (RateAt(i) >= rate) {
+        return ToMillis(static_cast<SimTime>(i + 1) * width_ - from);
+      }
+    }
+    return -1.0;
   }
 
  private:
@@ -203,6 +241,14 @@ class JsonSummary {
   std::string name_;
   std::vector<Entry> entries_;
 };
+
+// The violation counters the checked load benches report: second terminals, level
+// regressions, and views after a terminal.
+inline void AddViolationCounts(JsonSummary& json, const IcgContractChecker& checker) {
+  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
+  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
+  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
+}
 
 }  // namespace icg::bench
 

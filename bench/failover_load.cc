@@ -23,14 +23,10 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_failover_load.json.
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/harness/icg_contract.h"
-#include "src/ycsb/multi_runner.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -43,12 +39,7 @@ constexpr SimDuration kBucket = Millis(250);
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const int threads = smoke ? 48 : 64;
   const SimDuration duration = smoke ? Seconds(12) : Seconds(36);
@@ -68,21 +59,20 @@ int main(int argc, char** argv) {
       "entropy, re-admission. Every invocation is oracle-checked and every acked write\n"
       "must survive.");
 
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
   KvConfig kv;
   kv.wal_fsync_service = Micros(120);  // real durable writes: fsync charged before ack
   kv.snapshot_every = 512;             // checkpoint cadence keeps replay tails bounded
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, kv, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
+  // Timeouts and sheds during the failover window are expected terminals: an errored
+  // write was never acked, so durability promises nothing about it.
+  ShardedTrial trial(seed, /*coordinators=*/3, kRegions3, BatchConfig{}, kv,
+                     AllowedErrors::kAny);
+  ShardedCassandraStack& stack = trial.stack;
+  IcgContractChecker& checker = trial.checker;
   // A corpse answers nothing: in-flight invocations against it must resolve by client
   // timeout, and a bounded shard queue sheds the backlog that builds before eviction.
-  stack.client()->SetTimeout(Seconds(2));
-  frk.client->SetTimeout(Seconds(2));
-  vrg.client->SetTimeout(Seconds(2));
+  for (CorrectableClient* client : trial.clients) {
+    client->SetTimeout(Seconds(2));
+  }
   stack.SetShardQueueLimit(256);
   stack.EnableFailureDetection();
 
@@ -90,9 +80,6 @@ int main(int argc, char** argv) {
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
   PreloadYcsbDataset(stack.cluster.get(), workload);
 
-  // Timeouts and sheds during the failover window are expected terminals: an errored
-  // write was never acked, so durability promises nothing about it.
-  IcgContractChecker checker(AllowedErrors::kAny);
   bench::RateBuckets completions(kBucket, duration);
 
   RunnerConfig config;
@@ -101,21 +88,17 @@ int main(int argc, char** argv) {
   config.warmup = warmup;
   config.cooldown = warmup;
 
-  MultiRunner runner(&world.loop(), config);
-  uint64_t client_seed = seed * 3;
-  for (CorrectableClient* client : {stack.client(), frk.client.get(), vrg.client.get()}) {
-    runner.AddClient(workload, ++client_seed, MakeCheckedKvExecutor(client, &checker, [&]() {
-                       completions.Add(world.loop().Now());
-                     }));
-  }
+  EventLoop& loop = trial.world.loop();
+  MultiRunner runner(&loop, config);
+  AddYcsbClients(runner, trial.clients, workload, seed * 3 + 1, [&](CorrectableClient* client) {
+    return MakeCheckedKvExecutor(client, &checker, [&]() { completions.Add(loop.Now()); });
+  });
 
   const NodeId victim = stack.coordinator_ids().front();
-  world.loop().Schedule(crash_at, [&stack, victim]() { stack.CrashCoordinator(victim); });
-  world.loop().Schedule(recover_at,
-                        [&stack, victim]() { stack.RecoverCoordinator(victim); });
+  loop.Schedule(crash_at, [&stack, victim]() { stack.CrashCoordinator(victim); });
+  loop.Schedule(recover_at, [&stack, victim]() { stack.RecoverCoordinator(victim); });
   // Stop the heartbeat chain once the measured window is over so the loop can drain.
-  world.loop().Schedule(duration + warmup + Seconds(1),
-                        [&stack]() { stack.DisableFailureDetection(); });
+  loop.Schedule(duration + warmup + Seconds(1), [&stack]() { stack.DisableFailureDetection(); });
 
   const RunnerResult load = runner.Run();
   checker.CheckClosed();
@@ -124,24 +107,10 @@ int main(int argc, char** argv) {
   const double outage = completions.Rate(crash_at + settle, recover_at);
   const double post_recovery = completions.Rate(recover_at + settle, duration - warmup);
   // Worst bucket right after the crash, and time until the completion rate first
-  // reached the pre-crash plateau again after the restart.
-  const size_t crash_bucket = completions.IndexOf(crash_at);
-  const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
-  double dip = pre_crash;
-  for (size_t i = crash_bucket; i < crash_bucket + settle_buckets && i < completions.size();
-       ++i) {
-    dip = std::min(dip, completions.RateAt(i));
-  }
-  const size_t recover_bucket = completions.IndexOf(recover_at);
-  double rejoin_recovery_ms = -1.0;
-  for (size_t i = recover_bucket; i < recover_bucket + settle_buckets && i < completions.size();
-       ++i) {
-    const double rate = completions.RateAt(i);
-    if (rate >= 0.9 * pre_crash) {
-      rejoin_recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - recover_bucket) * kBucket);
-      break;
-    }
-  }
+  // reached 0.9x the pre-crash plateau again after the restart.
+  const double dip = std::min(pre_crash, completions.MinRate(crash_at, crash_at + settle));
+  const double rejoin_recovery_ms =
+      completions.MillisToReach(0.9 * pre_crash, recover_at, recover_at + settle);
 
   // Failover bookkeeping from the harness: detection latency and rejoin epoch.
   double detection_ms = -1.0;
@@ -175,7 +144,10 @@ int main(int argc, char** argv) {
                 "ring epoch " + std::to_string(stack.ring_epoch())});
   table.Print();
 
-  const double detection_bound_ms = 5 * 50.0;  // miss window (3x50ms) plus probe slack
+  // The miss window plus two heartbeats of probe slack.
+  const double detection_bound_ms =
+      ToMillis((ShardedCassandraStack::kMissThreshold + 2) *
+               ShardedCassandraStack::kHeartbeatInterval);
   const bool detected = detection_ms >= 0 && detection_ms <= detection_bound_ms;
   const bool recovered_clean = rejoined && recovered != nullptr &&
                                !recovered->crashed() &&
@@ -228,9 +200,7 @@ int main(int argc, char** argv) {
   json.Add("oracle.issued", static_cast<int64_t>(checker.invocations().size()));
   json.Add("oracle.completed", checker.closed());
   json.Add("oracle.errors", checker.errors());
-  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
-  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
-  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
+  bench::AddViolationCounts(json, checker);
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
   json.Write();

@@ -7,14 +7,11 @@
 // R = {1,2}." Systems: C1, C2, and CC2 (whose preliminary and final views share one
 // throughput but have different latencies). Expected shape: CC2 preliminary tracks C1,
 // CC2 final tracks C2, and CC saturates slightly earlier (the preliminary-flushing cost).
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -24,16 +21,8 @@ constexpr int64_t kRecords = 10000;
 // One trial: three clients (IRL->FRK, FRK->VRG, VRG->IRL), report the IRL client.
 RunnerResult RunTrial(const WorkloadConfig& workload_config, KvMode mode, int threads_per_client,
                       uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeCassandraStack(world, KvConfig{}, binding, Region::kIreland,
-                                  Region::kFrankfurt);
-  auto frk_client = AddCassandraClient(world, stack, binding, Region::kFrankfurt,
-                                       Region::kVirginia);
-  auto vrg_client = AddCassandraClient(world, stack, binding, Region::kVirginia,
-                                       Region::kIreland);
-  PreloadYcsbDataset(stack.cluster.get(), workload_config);
+  FlatTrial trial(seed);
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload_config);
 
   RunnerConfig runner_config;
   runner_config.threads = threads_per_client;
@@ -41,21 +30,10 @@ RunnerResult RunTrial(const WorkloadConfig& workload_config, KvMode mode, int th
   runner_config.warmup = Seconds(15);
   runner_config.cooldown = Seconds(15);
 
-  CoreWorkload w_irl(workload_config, seed * 3 + 1);
-  CoreWorkload w_frk(workload_config, seed * 3 + 2);
-  CoreWorkload w_vrg(workload_config, seed * 3 + 3);
-  LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), mode),
-                 runner_config);
-  LoadRunner frk(&world.loop(), &w_frk, MakeKvExecutor(frk_client.client.get(), mode),
-                 runner_config);
-  LoadRunner vrg(&world.loop(), &w_vrg, MakeKvExecutor(vrg_client.client.get(), mode),
-                 runner_config);
-  irl.Begin();
-  frk.Begin();
-  vrg.Begin();
-  world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
-
-  return irl.Collect();
+  MultiRunner runner(&trial.world.loop(), runner_config);
+  AddYcsbClients(runner, trial.clients, workload_config, seed * 3 + 1, mode);
+  runner.Run();
+  return runner.CollectClient(0);
 }
 
 void RunWorkload(const std::string& name, const std::string& key, const WorkloadConfig& config,

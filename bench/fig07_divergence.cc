@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -22,16 +21,8 @@ constexpr int64_t kRecords = 1000;  // "a small 1K objects dataset"
 
 double MeasureDivergence(const WorkloadConfig& workload_config, int total_threads,
                          uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeCassandraStack(world, KvConfig{}, binding, Region::kIreland,
-                                  Region::kFrankfurt);
-  auto frk_client =
-      AddCassandraClient(world, stack, binding, Region::kFrankfurt, Region::kVirginia);
-  auto vrg_client =
-      AddCassandraClient(world, stack, binding, Region::kVirginia, Region::kIreland);
-  PreloadYcsbDataset(stack.cluster.get(), workload_config);
+  FlatTrial trial(seed);
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload_config);
 
   RunnerConfig runner_config;
   runner_config.threads = total_threads / 3;
@@ -39,30 +30,10 @@ double MeasureDivergence(const WorkloadConfig& workload_config, int total_thread
   runner_config.warmup = Seconds(15);
   runner_config.cooldown = Seconds(15);
 
-  CoreWorkload w_irl(workload_config, seed * 3 + 1);
-  CoreWorkload w_frk(workload_config, seed * 3 + 2);
-  CoreWorkload w_vrg(workload_config, seed * 3 + 3);
-  LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), KvMode::kIcg),
-                 runner_config);
-  LoadRunner frk(&world.loop(), &w_frk, MakeKvExecutor(frk_client.client.get(), KvMode::kIcg),
-                 runner_config);
-  LoadRunner vrg(&world.loop(), &w_vrg, MakeKvExecutor(vrg_client.client.get(), KvMode::kIcg),
-                 runner_config);
-  irl.Begin();
-  frk.Begin();
-  vrg.Begin();
-  world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
-
+  MultiRunner runner(&trial.world.loop(), runner_config);
+  AddYcsbClients(runner, trial.clients, workload_config, seed * 3 + 1, KvMode::kIcg);
   // Divergence measured across all clients' reads.
-  const RunnerResult a = irl.Collect();
-  const RunnerResult b = frk.Collect();
-  const RunnerResult c = vrg.Collect();
-  const int64_t with_prelim =
-      a.ops_with_preliminary + b.ops_with_preliminary + c.ops_with_preliminary;
-  const int64_t diverged = a.divergences + b.divergences + c.divergences;
-  return with_prelim == 0 ? 0.0
-                          : 100.0 * static_cast<double>(diverged) /
-                                static_cast<double>(with_prelim);
+  return runner.Run().DivergencePercent();
 }
 
 }  // namespace

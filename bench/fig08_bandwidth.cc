@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -28,17 +27,8 @@ struct Efficiency {
 
 Efficiency MeasureEfficiency(const WorkloadConfig& workload_config, KvMode mode,
                              bool confirmations, int total_threads, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  binding.confirmations = confirmations;
-  auto stack = MakeCassandraStack(world, KvConfig{}, binding, Region::kIreland,
-                                  Region::kFrankfurt);
-  auto frk_client =
-      AddCassandraClient(world, stack, binding, Region::kFrankfurt, Region::kVirginia);
-  auto vrg_client =
-      AddCassandraClient(world, stack, binding, Region::kVirginia, Region::kIreland);
-  PreloadYcsbDataset(stack.cluster.get(), workload_config);
+  FlatTrial trial(seed, {.confirmations = confirmations});
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload_config);
 
   RunnerConfig runner_config;
   runner_config.threads = total_threads / 3;
@@ -46,27 +36,19 @@ Efficiency MeasureEfficiency(const WorkloadConfig& workload_config, KvMode mode,
   runner_config.warmup = Seconds(15);
   runner_config.cooldown = 0;  // byte accounting runs to the trial end
 
-  CoreWorkload w_irl(workload_config, seed * 3 + 1);
-  CoreWorkload w_frk(workload_config, seed * 3 + 2);
-  CoreWorkload w_vrg(workload_config, seed * 3 + 3);
-  LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), mode),
-                 runner_config);
-  LoadRunner frk(&world.loop(), &w_frk, MakeKvExecutor(frk_client.client.get(), mode),
-                 runner_config);
-  LoadRunner vrg(&world.loop(), &w_vrg, MakeKvExecutor(vrg_client.client.get(), mode),
-                 runner_config);
-  irl.Begin();
-  frk.Begin();
-  vrg.Begin();
+  SimWorld& world = trial.world;
+  MultiRunner runner(&world.loop(), runner_config);
+  AddYcsbClients(runner, trial.clients, workload_config, seed * 3 + 1, mode);
+  runner.Begin();
   // Start byte accounting at the warmup boundary so kB/op covers the measured ops.
   world.loop().Schedule(runner_config.warmup, [&world]() { world.network().ResetStats(); });
   world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
 
-  const RunnerResult result = irl.Collect();
+  const RunnerResult result = runner.CollectClient(0);
   Efficiency eff;
   eff.kb_per_op = result.measured_ops == 0
                       ? 0.0
-                      : static_cast<double>(stack.kv_client->LinkBytes()) /
+                      : static_cast<double>(trial.stack.kv_client->LinkBytes()) /
                             static_cast<double>(result.measured_ops) / 1000.0;
   eff.divergence_pct = result.DivergencePercent();
   return eff;

@@ -42,16 +42,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 #include "src/sim/loop_group.h"
-#include "src/ycsb/multi_runner.h"
 
 namespace icg {
 namespace {
@@ -96,8 +92,6 @@ TrialOutcome RunTrial(int threads, bool placed, bool adaptive, int runner_thread
   options.max_quantum = Millis(32);
   LoopGroup group(options);
 
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
   const WorkloadConfig workload =
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
 
@@ -107,24 +101,17 @@ TrialOutcome RunTrial(int threads, bool placed, bool adaptive, int runner_thread
   config.warmup = elide;
   config.cooldown = elide;
 
-  SimWorld world(seed);
-  auto stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-      world, kCoordinators, KvConfig{}, binding, Region::kIreland,
-      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia}));
-  auto& frk = AddShardedCassandraClient(world, *stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, *stack, binding, Region::kVirginia);
-  PreloadYcsbDataset(stack->cluster.get(), workload);
+  ShardedTrial trial(seed, kCoordinators, kRegions4);
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload);
 
   if (placed) {
-    PlaceShardsAcrossLoops(group, world, *stack);
+    PlaceShardsAcrossLoops(group, trial.world, trial.stack);
   } else {
-    PinWorld(group, world);
+    PinWorld(group, trial.world);
   }
 
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeKvExecutor(stack->client(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 2, MakeKvExecutor(frk.client.get(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 3, MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
+  MultiRunner runner(&trial.world.loop(), config);
+  AddYcsbClients(runner, trial.clients, workload, seed * 3 + 1, KvMode::kIcg);
 
   runner.Begin();
   group.RunUntil(elide);  // warmup: untimed, metrics discarded below
@@ -142,8 +129,8 @@ TrialOutcome RunTrial(int threads, bool placed, bool adaptive, int runner_thread
   outcome.measured_ops = r.measured_ops;
   outcome.errors = r.errors;
   ClientStatsGroup stats(1);
-  for (const auto& endpoint : stack->endpoints()) {
-    stats.Absorb(0, endpoint->client->stats());
+  for (const CorrectableClient* client : trial.clients) {
+    stats.Absorb(0, client->stats());
   }
   outcome.stats = stats.Merged();
   outcome.barrier_wait_ns = group.metrics().Value("barrier_wait_ns");
@@ -159,14 +146,7 @@ TrialOutcome RunTrial(int threads, bool placed, bool adaptive, int runner_thread
 bool SimEqual(const TrialOutcome& a, const TrialOutcome& b) {
   return a.measured_ops == b.measured_ops && a.errors == b.errors &&
          a.rounds == b.rounds && a.schedule_hash == b.schedule_hash &&
-         std::abs(a.throughput_ops - b.throughput_ops) < 1e-9 &&
-         a.stats.invocations == b.stats.invocations &&
-         a.stats.views_delivered == b.stats.views_delivered &&
-         a.stats.confirmations == b.stats.confirmations &&
-         a.stats.divergences == b.stats.divergences &&
-         a.stats.errors == b.stats.errors && a.stats.timeouts == b.stats.timeouts &&
-         a.stats.batched_invocations == b.stats.batched_invocations &&
-         a.stats.coalesced_reads == b.stats.coalesced_reads;
+         std::abs(a.throughput_ops - b.throughput_ops) < 1e-9 && a.stats == b.stats;
 }
 
 // Fraction of the measured wall time the driver spent blocked at round barriers.
@@ -188,12 +168,7 @@ void AddModeRow(bench::Table& table, const std::string& mode, const TrialOutcome
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const int cores = LoopGroup::HardwareThreads();
   const int threaded_width = cores >= 4 ? 4 : 2;  // best width this machine can drive

@@ -13,29 +13,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/scenario.h"
 #include "src/sim/loop_group.h"
-#include "src/ycsb/multi_runner.h"
 
 namespace icg {
 namespace {
 
 constexpr int kWorlds = 4;
 constexpr int64_t kRecords = 4000;
-
-struct BenchWorld {
-  explicit BenchWorld(uint64_t seed) : world(seed) {}
-  SimWorld world;
-  std::unique_ptr<ShardedCassandraStack> stack;
-  std::unique_ptr<MultiRunner> runner;
-};
 
 struct TrialOutcome {
   double wall_seconds = 0;
@@ -56,8 +46,6 @@ TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
   LoopGroup group(options);
   ClientStatsGroup stats(kWorlds);
 
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
   const WorkloadConfig workload =
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
 
@@ -67,32 +55,23 @@ TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
   config.warmup = elide;
   config.cooldown = elide;
 
-  std::vector<std::unique_ptr<BenchWorld>> worlds;
+  std::vector<std::unique_ptr<ShardedTrial>> worlds;
+  std::vector<std::unique_ptr<MultiRunner>> runners;
   for (int w = 0; w < kWorlds; ++w) {
-    auto bw = std::make_unique<BenchWorld>(seed + static_cast<uint64_t>(w) * 1009);
-    bw->stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-        bw->world, /*n_coordinators=*/3, KvConfig{}, binding, Region::kIreland));
-    auto& frk = AddShardedCassandraClient(bw->world, *bw->stack, binding,
-                                          Region::kFrankfurt);
-    auto& vrg = AddShardedCassandraClient(bw->world, *bw->stack, binding,
-                                          Region::kVirginia);
-    PreloadYcsbDataset(bw->stack->cluster.get(), workload);
+    auto& trial = *worlds.emplace_back(std::make_unique<ShardedTrial>(
+        seed + static_cast<uint64_t>(w) * 1009, /*coordinators=*/3, kRegions3));
+    PreloadYcsbDataset(trial.stack.cluster.get(), workload);
 
-    bw->runner = std::make_unique<MultiRunner>(&bw->world.loop(), config);
+    auto& runner =
+        *runners.emplace_back(std::make_unique<MultiRunner>(&trial.world.loop(), config));
     const uint64_t ws = seed + static_cast<uint64_t>(w) * 7;
-    bw->runner->AddClient(workload, ws * 3 + 1,
-                          MakeKvExecutor(bw->stack->client(), KvMode::kIcg));
-    bw->runner->AddClient(workload, ws * 3 + 2,
-                          MakeKvExecutor(frk.client.get(), KvMode::kIcg));
-    bw->runner->AddClient(workload, ws * 3 + 3,
-                          MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
-    PinWorld(group, bw->world);
-    worlds.push_back(std::move(bw));
+    AddYcsbClients(runner, trial.clients, workload, ws * 3 + 1, KvMode::kIcg);
+    PinWorld(group, trial.world);
   }
 
   const auto start = std::chrono::steady_clock::now();
-  for (auto& bw : worlds) {
-    bw->runner->Begin();
+  for (auto& runner : runners) {
+    runner->Begin();
   }
   group.RunUntil(duration + 2 * elide + Seconds(5));
   const auto stop = std::chrono::steady_clock::now();
@@ -100,25 +79,17 @@ TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
   TrialOutcome outcome;
   outcome.wall_seconds = std::chrono::duration<double>(stop - start).count();
   outcome.rounds = group.rounds();
-  for (int w = 0; w < kWorlds; ++w) {
-    const RunnerResult r = worlds[static_cast<size_t>(w)]->runner->Collect();
+  for (size_t w = 0; w < worlds.size(); ++w) {
+    const RunnerResult r = runners[w]->Collect();
     outcome.throughput_ops += r.throughput_ops;
     outcome.measured_ops += r.measured_ops;
     outcome.errors += r.errors;
-    for (const auto& endpoint : worlds[static_cast<size_t>(w)]->stack->endpoints()) {
-      stats.Absorb(static_cast<size_t>(w), endpoint->client->stats());
+    for (const CorrectableClient* client : worlds[w]->clients) {
+      stats.Absorb(w, client->stats());
     }
-    outcome.per_world_stats.push_back(stats.ForLoop(static_cast<size_t>(w)));
+    outcome.per_world_stats.push_back(stats.ForLoop(w));
   }
   return outcome;
-}
-
-bool StatsEqual(const ClientStats& a, const ClientStats& b) {
-  return a.invocations == b.invocations && a.views_delivered == b.views_delivered &&
-         a.confirmations == b.confirmations && a.divergences == b.divergences &&
-         a.errors == b.errors && a.timeouts == b.timeouts &&
-         a.batched_invocations == b.batched_invocations &&
-         a.coalesced_reads == b.coalesced_reads;
 }
 
 }  // namespace
@@ -126,12 +97,7 @@ bool StatsEqual(const ClientStats& a, const ClientStats& b) {
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const int cores = LoopGroup::HardwareThreads();
   // Always drive at least 2 worker threads so the threaded path (and its determinism
@@ -156,14 +122,11 @@ int main(int argc, char** argv) {
 
   // Determinism oracle: the threaded run is the *same simulation*, so every simulated
   // observable must match the sequential run exactly.
-  bool deterministic = sequential.measured_ops == threaded.measured_ops &&
-                       sequential.errors == threaded.errors &&
-                       sequential.rounds == threaded.rounds &&
-                       std::abs(sequential.throughput_ops - threaded.throughput_ops) < 1e-9;
-  for (int w = 0; w < kWorlds && deterministic; ++w) {
-    deterministic = StatsEqual(sequential.per_world_stats[static_cast<size_t>(w)],
-                               threaded.per_world_stats[static_cast<size_t>(w)]);
-  }
+  const bool deterministic =
+      sequential.measured_ops == threaded.measured_ops &&
+      sequential.errors == threaded.errors && sequential.rounds == threaded.rounds &&
+      std::abs(sequential.throughput_ops - threaded.throughput_ops) < 1e-9 &&
+      sequential.per_world_stats == threaded.per_world_stats;
 
   const double speedup = threaded.wall_seconds > 0
                              ? sequential.wall_seconds / threaded.wall_seconds

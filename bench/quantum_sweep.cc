@@ -21,7 +21,6 @@
 // Flags: --smoke shortens the trial. Writes BENCH_quantum_sweep.json.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,12 +139,7 @@ PolicyOutcome RunPolicy(const Policy& policy, int threads, int periods) {
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
   const int periods = smoke ? 4 : 16;
   const int64_t expected_messages =
       static_cast<int64_t>(periods) * kLoops * kFanout * kDepth;

@@ -21,14 +21,10 @@
 // written); output includes BENCH_rebalance_load.json with pre/post throughput, the
 // transition-dip depth, recovery time, and the oracle counters.
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/harness/icg_contract.h"
-#include "src/ycsb/multi_runner.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -41,12 +37,7 @@ constexpr SimDuration kBucket = Millis(250);
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   const int threads = smoke ? 48 : 64;
   const SimDuration duration = smoke ? Seconds(12) : Seconds(36);
@@ -62,18 +53,12 @@ int main(int argc, char** argv) {
       "Every invocation is oracle-checked through the transition (monotone views,\n"
       "exactly one terminal).");
 
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/2, KvConfig{}, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-
+  ShardedTrial trial(seed, /*coordinators=*/2, kRegions3);
+  ShardedCassandraStack& stack = trial.stack;
+  IcgContractChecker& checker = trial.checker;
   const WorkloadConfig workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
   PreloadYcsbDataset(stack.cluster.get(), workload);
 
-  IcgContractChecker checker;
   bench::RateBuckets completions(kBucket, duration);
 
   RunnerConfig config;
@@ -82,19 +67,17 @@ int main(int argc, char** argv) {
   config.warmup = warmup;
   config.cooldown = warmup;
 
-  MultiRunner runner(&world.loop(), config);
-  uint64_t client_seed = seed * 3;
-  for (CorrectableClient* client : {stack.client(), frk.client.get(), vrg.client.get()}) {
-    runner.AddClient(workload, ++client_seed, MakeCheckedKvExecutor(client, &checker, [&]() {
-                       completions.Add(world.loop().Now());
-                     }));
-  }
+  MultiRunner runner(&trial.world.loop(), config);
+  AddYcsbClients(runner, trial.clients, workload, seed * 3 + 1, [&](CorrectableClient* client) {
+    return MakeCheckedKvExecutor(client, &checker,
+                                 [&]() { completions.Add(trial.world.loop().Now()); });
+  });
 
   // The membership change, scheduled into the middle of the trial.
   const NodeId joiner = stack.cluster->replicas().back()->id();
   double moved_fraction = 0.0;
   uint64_t epoch_after = 0;
-  world.loop().Schedule(join_at, [&stack, joiner, &moved_fraction, &epoch_after]() {
+  trial.world.loop().Schedule(join_at, [&stack, joiner, &moved_fraction, &epoch_after]() {
     const auto diff = stack.AddCoordinator(joiner);
     moved_fraction = diff.MovedFraction();
     epoch_after = stack.ring_epoch();
@@ -108,17 +91,8 @@ int main(int argc, char** argv) {
   const double post_join = completions.Rate(join_at + settle, duration - warmup);
   // Transition detail: the worst bucket right after the join, and how long until the
   // completion rate first met the pre-join plateau again.
-  const size_t join_bucket = completions.IndexOf(join_at);
-  const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
-  double dip = pre_join;
-  double recovery_ms = -1.0;
-  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < completions.size(); ++i) {
-    const double rate = completions.RateAt(i);
-    dip = std::min(dip, rate);
-    if (recovery_ms < 0 && rate >= pre_join) {
-      recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - join_bucket) * kBucket);
-    }
-  }
+  const double dip = std::min(pre_join, completions.MinRate(join_at, join_at + settle));
+  const double recovery_ms = completions.MillisToReach(pre_join, join_at, join_at + settle);
 
   bench::Table table({"phase", "throughput (ops/s)", "notes"});
   table.AddRow({"pre-join (2 coordinators)", bench::Fmt(pre_join, 0),
@@ -154,9 +128,7 @@ int main(int argc, char** argv) {
   json.Add("oracle.issued", static_cast<int64_t>(checker.invocations().size()));
   json.Add("oracle.completed", checker.closed());
   json.Add("oracle.errors", checker.errors());
-  json.Add("oracle.duplicate_finals", checker.count(Violation::kExtraTerminal));
-  json.Add("oracle.monotonicity_violations", checker.count(Violation::kLevelRegressed));
-  json.Add("oracle.views_after_terminal", checker.count(Violation::kViewAfterTerminal));
+  bench::AddViolationCounts(json, checker);
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
   json.Write();

@@ -12,14 +12,11 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes a BENCH_sharded_load.json with throughput and p50/p99
 // preliminary+final latencies for every configuration.
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/ycsb/multi_runner.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 namespace {
@@ -28,17 +25,10 @@ constexpr int64_t kRecords = 10000;
 
 RunnerResult RunTrial(int n_coordinators, KvMode mode, int threads_per_client,
                       SimDuration duration, SimDuration elide, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeShardedCassandraStack(world, n_coordinators, KvConfig{}, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-
+  ShardedTrial trial(seed, n_coordinators, kRegions3);
   const WorkloadConfig workload =
       WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
+  PreloadYcsbDataset(trial.stack.cluster.get(), workload);
 
   RunnerConfig config;
   config.threads = threads_per_client;
@@ -46,10 +36,8 @@ RunnerResult RunTrial(int n_coordinators, KvMode mode, int threads_per_client,
   config.warmup = elide;
   config.cooldown = elide;
 
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeKvExecutor(stack.client(), mode));
-  runner.AddClient(workload, seed * 3 + 2, MakeKvExecutor(frk.client.get(), mode));
-  runner.AddClient(workload, seed * 3 + 3, MakeKvExecutor(vrg.client.get(), mode));
+  MultiRunner runner(&trial.world.loop(), config);
+  AddYcsbClients(runner, trial.clients, workload, seed * 3 + 1, mode);
   return runner.Run();
 }
 
@@ -58,12 +46,7 @@ RunnerResult RunTrial(int n_coordinators, KvMode mode, int threads_per_client,
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::ParseSmokeFlag(argc, argv);
 
   // Enough closed-loop sessions to drive a single ~0.9 ms/read coordinator well past
   // saturation (3 clients x 64 threads vs. a ~1.1 kops/s single-queue ceiling).

@@ -61,6 +61,8 @@ struct ClientStats {
   int64_t batched_writes = 0;        // writes submitted through a batched multiput
   int64_t overload_sheds = 0;        // invocations failed by per-shard backpressure
                                      // (retryable OVERLOADED finals)
+
+  bool operator==(const ClientStats&) const = default;
 };
 
 class InvocationPipeline {

@@ -200,13 +200,12 @@ void ShardedCassandraStack::RecoverCoordinator(NodeId replica_id) {
   unanswered_probes_[replica_id] = 0;
 }
 
-void ShardedCassandraStack::EnableFailureDetection(FailoverConfig config) {
-  failover_config_ = config;
+void ShardedCassandraStack::EnableFailureDetection() {
   for (const NodeId id : coordinator_ids_) {
     unanswered_probes_[id] = 0;
   }
   if (detection_enabled_) {
-    return;  // already probing; the new config takes effect from the next tick
+    return;  // already probing
   }
   detection_enabled_ = true;
   ScheduleProbe();
@@ -221,7 +220,7 @@ void ShardedCassandraStack::DisableFailureDetection() {
 }
 
 void ShardedCassandraStack::ScheduleProbe() {
-  probe_timer_ = world_->loop().Schedule(failover_config_.heartbeat_interval, [this]() {
+  probe_timer_ = world_->loop().Schedule(kHeartbeatInterval, [this]() {
     probe_timer_ = 0;
     if (!detection_enabled_) {
       return;
@@ -236,7 +235,7 @@ void ShardedCassandraStack::ProbeOnce() {
   // ring edit cannot invalidate the iteration.
   std::vector<NodeId> dead;
   for (const NodeId id : coordinator_ids_) {
-    if (unanswered_probes_[id] >= failover_config_.miss_threshold) {
+    if (unanswered_probes_[id] >= kMissThreshold) {
       dead.push_back(id);
     }
   }

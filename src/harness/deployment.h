@@ -104,15 +104,6 @@ struct ShardedEndpoint {
   std::unique_ptr<CorrectableClient> client;
 };
 
-// Heartbeat failure detector tuning (see ShardedCassandraStack::EnableFailureDetection).
-// Defaults give a ~150 ms detection window — three 50 ms ticks of silence — comfortably
-// above the topology's worst client<->coordinator RTT (IRL<->VRG, 83 ms), so an answered
-// probe always clears the counter before it can reach the threshold.
-struct FailoverConfig {
-  SimDuration heartbeat_interval = Millis(50);
-  int miss_threshold = 3;
-};
-
 // One entry per CrashCoordinator call, timestamps filled in as the detector and the
 // recovery path catch up (-1 = not yet).
 struct FailoverEvent {
@@ -184,12 +175,17 @@ class ShardedCassandraStack {
   void RecoverCoordinator(NodeId replica_id);
 
   // Heartbeat failure detector on the front loop: probes every ring coordinator each
-  // `heartbeat_interval`; `miss_threshold` consecutive unanswered probes declare it dead
+  // kHeartbeatInterval; kMissThreshold consecutive unanswered probes declare it dead
   // and fail over (RemoveCoordinator). Recovered coordinators re-enter probing when
   // re-admitted. The prober is a repeating timer — call DisableFailureDetection() before
   // draining a world to quiescence (RunAll would otherwise never run out of events).
-  void EnableFailureDetection(FailoverConfig config = {});
+  void EnableFailureDetection();
   void DisableFailureDetection();
+  // A ~150 ms detection window — three 50 ms ticks of silence — comfortably above the
+  // topology's worst client<->coordinator RTT (IRL<->VRG, 83 ms), so an answered probe
+  // always clears the counter before it can reach the threshold.
+  static constexpr SimDuration kHeartbeatInterval = Millis(50);
+  static constexpr int kMissThreshold = 3;
 
   const std::vector<FailoverEvent>& failover_log() const { return failover_log_; }
   int64_t failovers() const { return failovers_; }
@@ -220,7 +216,6 @@ class ShardedCassandraStack {
   std::vector<std::unique_ptr<ShardedEndpoint>> endpoints_;  // [0] is the primary
 
   // Failure detector state (front loop only).
-  FailoverConfig failover_config_;
   bool detection_enabled_ = false;
   TimerId probe_timer_ = 0;
   uint64_t next_probe_id_ = 1;

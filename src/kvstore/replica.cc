@@ -15,13 +15,11 @@ KvReplica::KvReplica(Network* network, NodeId id, const KvConfig* config, const 
       loop_(network->loop()),
       id_(id),
       config_(config),
-      service_(network->loop(), name) {
+      service_(network->loop(), name),
+      wal_(name + ".wal"),
+      snapshot_(name + ".snap") {
   assert(config_ != nullptr);
-  if (config_->durability) {
-    wal_ = std::make_unique<Wal>(name + ".wal");
-    wal_->SetFaults(WalFaults{config_->wal_fsync_service, config_->wal_torn_tail});
-    snapshot_ = std::make_unique<SnapshotManager>(name + ".snap");
-  }
+  wal_.SetFaults(WalFaults{config_->wal_fsync_service, config_->wal_torn_tail});
 }
 
 void KvReplica::RebindLoop() {
@@ -565,13 +563,9 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
     // version above, but the record is logged unconditionally: the ack promises
     // durability of the submission, and replay re-applies under the same LWW rule
     // (idempotent, zero duplication).
-    SimDuration fsync = 0;
-    uint64_t lsn = 0;
-    if (wal_ != nullptr) {
-      lsn = wal_->Append(key, vv.value, version);
-      fsync = wal_->Sync();
-      MaybeScheduleSnapshot();
-    }
+    const uint64_t lsn = wal_.Append(key, vv.value, version);
+    const SimDuration fsync = wal_.Sync();
+    MaybeScheduleSnapshot();
 
     auto finish = [this, client_id, key, vv = std::move(vv), version, lsn,
                    respond = std::move(respond)]() {
@@ -642,19 +636,14 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
       if (inserted || stored->OlderThan(version)) {
         *stored = vv;
       }
-      if (wal_ != nullptr) {
-        cohort_lsn = wal_->Append(keys[i], vv.value, version);
-      }
+      cohort_lsn = wal_.Append(keys[i], vv.value, version);
       applied[i] = std::move(vv);
     }
     // Group commit: the whole cohort shares one fsync, then one ack covers it — either
     // every entry of an acked batch is durable or the crash predates the ack and the
     // client-side cohort fails as a unit (no torn batch slice).
-    SimDuration fsync = 0;
-    if (wal_ != nullptr) {
-      fsync = wal_->Sync();
-      MaybeScheduleSnapshot();
-    }
+    const SimDuration fsync = wal_.Sync();
+    MaybeScheduleSnapshot();
 
     auto finish = [this, client_id, keys = std::move(keys), applied = std::move(applied),
                    ack = std::move(ack), cohort_lsn, respond = std::move(respond)]() {
@@ -750,11 +739,11 @@ bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming,
     return false;
   }
   *stored = incoming;
-  if (log && wal_ != nullptr) {
+  if (log) {
     // Lazy append: replicated/repaired state is logged but not fsynced — the unsynced
     // tail is recoverable from the peers that sent it, and it is what a torn-tail crash
     // tears. Only coordinated (acked) writes pay for a sync.
-    const uint64_t lsn = wal_->Append(key, incoming.value, incoming.version);
+    const uint64_t lsn = wal_.Append(key, incoming.value, incoming.version);
     // The value came from a cluster-visible source, so a snapshot may cover it at once.
     replicated_lsn_ = std::max(replicated_lsn_, lsn);
     MaybeScheduleSnapshot();
@@ -763,10 +752,10 @@ bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming,
 }
 
 void KvReplica::MaybeScheduleSnapshot() {
-  if (wal_ == nullptr || config_->snapshot_every <= 0 || snapshot_in_flight_) {
+  if (config_->snapshot_every <= 0 || snapshot_in_flight_) {
     return;
   }
-  if (wal_->appended_records() - records_at_last_snapshot_ < config_->snapshot_every) {
+  if (wal_.appended_records() - records_at_last_snapshot_ < config_->snapshot_every) {
     return;
   }
   snapshot_in_flight_ = true;
@@ -781,9 +770,9 @@ void KvReplica::MaybeScheduleSnapshot() {
     // Cover only cluster-visible records: a coordinated write between its append and
     // its replication fan-out must stay in the replayed tail, or a crash after the
     // snapshot would resurrect it on this replica alone with no record to re-push.
-    snapshot_->Take(storage_, replicated_lsn_);
-    records_at_last_snapshot_ = wal_->appended_records();
-    wal_->TruncateThrough(snapshot_->covered_lsn());
+    snapshot_.Take(storage_, replicated_lsn_);
+    records_at_last_snapshot_ = wal_.appended_records();
+    wal_.TruncateThrough(snapshot_.covered_lsn());
     metrics_.GetCounter("snapshots_taken").Increment();
   });
 }
@@ -810,9 +799,7 @@ void KvReplica::Crash() {
   snapshot_in_flight_ = false;
   bootstrap_pending_ = false;
   service_.CancelPending();  // queued work dies with the process
-  if (wal_ != nullptr) {
-    wal_->Crash();  // the device survives; the unsynced tail does not
-  }
+  wal_.Crash();  // the device survives; the unsynced tail does not
   metrics_.GetCounter("crashes").Increment();
 }
 
@@ -822,23 +809,21 @@ void KvReplica::Recover() {
   last_recovery_ = RecoveryStats{};
   uint64_t snapshot_lsn = 0;
   std::set<std::string> replayed_keys;
-  if (wal_ != nullptr) {
-    if (snapshot_->Load(&storage_, &snapshot_lsn)) {
-      last_recovery_.snapshot_entries = storage_.size();
-    }
-    const Wal::ReplayResult replay =
-        wal_->Replay(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
-          ApplyLww(record.key, VersionedValue{record.value, record.version}, /*log=*/false);
-          replayed_keys.insert(record.key);
-        });
-    last_recovery_.wal_records_replayed = replay.records;
-    last_recovery_.torn_tail = replay.torn_tail;
-    records_at_last_snapshot_ = wal_->appended_records();
-    // Restore the write clock past every stamp this replica may have issued or seen, so
-    // post-recovery coordinator stamps never regress below pre-crash acks.
-    for (const auto& [key, vv] : storage_) {
-      write_seq_ = std::max(write_seq_, static_cast<uint64_t>(vv.version.timestamp));
-    }
+  if (snapshot_.Load(&storage_, &snapshot_lsn)) {
+    last_recovery_.snapshot_entries = storage_.size();
+  }
+  const Wal::ReplayResult replay =
+      wal_.Replay(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
+        ApplyLww(record.key, VersionedValue{record.value, record.version}, /*log=*/false);
+        replayed_keys.insert(record.key);
+      });
+  last_recovery_.wal_records_replayed = replay.records;
+  last_recovery_.torn_tail = replay.torn_tail;
+  records_at_last_snapshot_ = wal_.appended_records();
+  // Restore the write clock past every stamp this replica may have issued or seen, so
+  // post-recovery coordinator stamps never regress below pre-crash acks.
+  for (const auto& [key, vv] : storage_) {
+    write_seq_ = std::max(write_seq_, static_cast<uint64_t>(vv.version.timestamp));
   }
   metrics_.GetCounter("recoveries").Increment();
   // Anti-entropy push: a record can be durable (fsynced) yet unreplicated — the crash
@@ -849,7 +834,7 @@ void KvReplica::Recover() {
   // finally propagate. Charged like serving a bootstrap dump of the same size.
   if (!peers_.empty() && !replayed_keys.empty()) {
     const uint64_t inc = incarnation_;
-    const uint64_t replayed_through = wal_ != nullptr ? wal_->next_lsn() - 1 : 0;
+    const uint64_t replayed_through = wal_.next_lsn() - 1;
     const SimDuration scan =
         config_->bootstrap_per_key_service * static_cast<SimDuration>(replayed_keys.size());
     service_.Submit(scan, [this, inc, replayed_through,
@@ -961,13 +946,11 @@ std::optional<VersionedValue> KvReplica::LocalGet(const std::string& key) const 
 void KvReplica::LocalPut(const std::string& key, std::string value, Version version) {
   VersionedValue* stored = storage_.TryEmplace(key).first;
   *stored = VersionedValue{std::move(value), version};
-  if (wal_ != nullptr) {
-    // Preloads are part of the durable dataset: log + sync so a crashed replica's
-    // recovered state includes them without leaning on the bootstrap. They are applied
-    // at every replica by construction, so they are cluster-visible immediately.
-    replicated_lsn_ = std::max(replicated_lsn_, wal_->Append(key, stored->value, version));
-    wal_->Sync();
-  }
+  // Preloads are part of the durable dataset: log + sync so a crashed replica's
+  // recovered state includes them without leaning on the bootstrap. They are applied
+  // at every replica by construction, so they are cluster-visible immediately.
+  replicated_lsn_ = std::max(replicated_lsn_, wal_.Append(key, stored->value, version));
+  wal_.Sync();
 }
 
 }  // namespace icg

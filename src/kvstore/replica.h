@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -70,7 +69,6 @@ struct KvConfig {
   // The defaults keep the pre-durability event timeline bit-for-bit: appends are pure
   // in-memory bookkeeping (no events, no service time) and snapshots never trigger.
   // Crash/recovery tests and the failover bench opt into nonzero knobs.
-  bool durability = true;             // maintain the WAL + snapshot device
   SimDuration wal_fsync_service = 0;  // fsync charged between WAL append and write ack
   bool wal_torn_tail = false;         // crash may leave a torn partial record (faults)
   int64_t snapshot_every = 0;         // snapshot every N appended records (0 = never)
@@ -160,9 +158,9 @@ class KvReplica {
   };
   const RecoveryStats& last_recovery() const { return last_recovery_; }
 
-  // Durability observability (null iff KvConfig::durability is false).
-  Wal* wal() { return wal_.get(); }
-  SnapshotManager* snapshots() { return snapshot_.get(); }
+  // Durability observability.
+  Wal* wal() { return &wal_; }
+  SnapshotManager* snapshots() { return &snapshot_; }
 
   // --- Coordinator entry points (invoked at this node; client_id is the requester) ----
   void CoordinateRead(NodeId client_id, const std::string& key, const ReadOptions& options,
@@ -293,8 +291,8 @@ class KvReplica {
   uint64_t write_seq_ = 0;  // disambiguates same-microsecond writes from this coordinator
 
   // --- Durability & crash state --------------------------------------------------------
-  std::unique_ptr<Wal> wal_;               // survives Crash(), like the disk it models
-  std::unique_ptr<SnapshotManager> snapshot_;
+  Wal wal_;  // survives Crash(), like the disk it models
+  SnapshotManager snapshot_;
   bool crashed_ = false;
   uint64_t incarnation_ = 0;  // bumped per crash; stale async callbacks check and no-op
   bool snapshot_in_flight_ = false;

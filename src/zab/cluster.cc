@@ -91,15 +91,18 @@ void ZabClient::RecipeDequeueZk(const std::string& queue,
   // The Curator-style distributed-queue recipe: fetch the whole children listing, then
   // walk it in order, attempting getData+delete per child; a delete conflict (another
   // client won the race) moves on to the *next child of the cached listing* — only an
-  // exhausted listing triggers a fresh getChildren. State is self-owning shared_ptrs so
-  // the async chain survives as many retries as contention requires.
+  // exhausted listing triggers a fresh getChildren. State lives in shared_ptrs that every
+  // pending callback holds, so the async chain survives as many retries as contention
+  // requires; the step refers to itself only weakly, so the chain frees itself once no
+  // callback is pending.
   struct WalkState {
     std::vector<int64_t> children;
     size_t next_index = 0;
   };
   auto state = std::make_shared<WalkState>();
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, queue, done = std::move(done), state, step]() {
+  *step = [this, queue, done = std::move(done), state, weak = std::weak_ptr(step)]() {
+    const auto step = weak.lock();  // held by the caller: this call or a pending callback
     if (state->next_index >= state->children.size()) {
       // Listing exhausted (or first iteration): fetch the full queue listing.
       GetChildren(queue, [this, queue, done, state, step](std::vector<int64_t> children) {
@@ -148,7 +151,9 @@ void ZabClient::RecipeDequeueZk(const std::string& queue,
 void ZabClient::RecipeDequeueCzk(const std::string& queue,
                                  std::function<void(StatusOr<OpResult>)> done) {
   auto attempt = std::make_shared<std::function<void()>>();
-  *attempt = [this, queue, done = std::move(done), attempt]() {
+  // Weakly self-referencing, like RecipeDequeueZk's step.
+  *attempt = [this, queue, done = std::move(done), weak = std::weak_ptr(attempt)]() {
+    const auto attempt = weak.lock();
     Peek(queue, [this, queue, done, attempt](StatusOr<OpResult> head, bool, ResponseKind) {
       if (!head.ok() || !head->found) {
         done(OpResult{});

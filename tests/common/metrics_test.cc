@@ -17,46 +17,6 @@ TEST(Counter, IncrementsAndResets) {
   EXPECT_EQ(c.value(), 0);
 }
 
-TEST(BandwidthMeter, TracksBothDirections) {
-  BandwidthMeter m;
-  m.RecordSent(100);
-  m.RecordSent(50);
-  m.RecordReceived(200);
-  EXPECT_EQ(m.sent_bytes(), 150);
-  EXPECT_EQ(m.received_bytes(), 200);
-  EXPECT_EQ(m.total_bytes(), 350);
-  EXPECT_EQ(m.sent_messages(), 2);
-  EXPECT_EQ(m.received_messages(), 1);
-}
-
-TEST(BandwidthMeter, BytesPerOp) {
-  BandwidthMeter m;
-  m.RecordSent(1000);
-  m.RecordReceived(1000);
-  EXPECT_DOUBLE_EQ(m.BytesPerOp(4), 500.0);
-  EXPECT_DOUBLE_EQ(m.KilobytesPerOp(1), 2.0);
-  EXPECT_DOUBLE_EQ(m.BytesPerOp(0), 0.0);
-}
-
-TEST(BandwidthMeter, Reset) {
-  BandwidthMeter m;
-  m.RecordSent(10);
-  m.Reset();
-  EXPECT_EQ(m.total_bytes(), 0);
-  EXPECT_EQ(m.sent_messages(), 0);
-}
-
-TEST(ThroughputMeter, OpsPerSecond) {
-  ThroughputMeter t;
-  for (int i = 0; i < 300; ++i) {
-    t.RecordOp();
-  }
-  EXPECT_DOUBLE_EQ(t.OpsPerSecond(Seconds(30)), 10.0);
-  EXPECT_DOUBLE_EQ(t.OpsPerSecond(0), 0.0);
-  t.Reset();
-  EXPECT_EQ(t.ops(), 0);
-}
-
 TEST(MetricRegistry, NamedCountersIndependent) {
   MetricRegistry r;
   r.GetCounter("a").Increment(2);

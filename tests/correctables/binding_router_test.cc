@@ -407,7 +407,7 @@ class HoldingBinding : public Binding {
   std::vector<ConsistencyLevel> SupportedLevels() const override {
     return {ConsistencyLevel::kWeak, ConsistencyLevel::kStrong};
   }
-  InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override {
+  InvocationPlan PlanInvocation(const Operation& /*op*/, const LevelSet& levels) override {
     InvocationPlan plan;
     plan.AddSpan(levels.levels(), [this](const Operation& o, LevelEmitter emit) {
       held_.emplace_back(o, std::move(emit));

@@ -363,8 +363,11 @@ TEST(BatchOracle, BatchedCacheRefreshKeepsPerKeyVersions) {
   ASSERT_TRUE(stack.cache->Get("slow").has_value());
   EXPECT_EQ(stack.cache->Get("slow")->version, (Version{2, 1}));
   // A later legitimate update of "slow" (version 3 > 2, but << 900) must still refresh.
-  stack.cache->Refresh("slow", OpResult{.found = true, .value = "updated", .seqno = -1,
-                                        .version = Version{3, 1}});
+  OpResult update;
+  update.found = true;
+  update.value = "updated";
+  update.version = Version{3, 1};
+  stack.cache->Refresh("slow", update);
   EXPECT_EQ(stack.cache->Get("slow")->value, "updated");
 }
 

@@ -232,7 +232,10 @@ TEST(BatchFailures, BatchedWriteRejectionFansToExactlyTheQueuedWriters) {
                                {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
                                batch);
   stack.cluster->Preload("k1", "v1");
-  stack.cache->Put("k1", OpResult{.found = true, .value = "v1", .seqno = -1, .version = {}});
+  OpResult cached;
+  cached.found = true;
+  cached.value = "v1";
+  stack.cache->Put("k1", cached);
   stack.binding->SetDisconnected(true);
 
   auto w1 = stack.client->InvokeStrong(Operation::Put("k1", "x"));

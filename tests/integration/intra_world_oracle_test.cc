@@ -34,9 +34,6 @@ constexpr int kKeys = 36;
 constexpr int kClients = 3;
 constexpr int kOps = 300;
 
-const std::vector<Region> kRegions4 = {Region::kFrankfurt, Region::kIreland, Region::kVirginia,
-                                       Region::kCalifornia};
-
 std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
   SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" + std::to_string(seed) +
                (adaptive ? " adaptive" : ""));

@@ -1,7 +1,8 @@
 // Gtest-side scaffolding of the consistency oracles (batch, loop-group, intra-world and
-// orchestrator): the environment knobs, the LoopGroup width sweep, the deployment and
-// seeded random load most trials share, and the bridge from IcgContractChecker
-// violations to test failures. The contract itself lives in src/harness/icg_contract.h.
+// orchestrator): the environment knobs, the LoopGroup width sweep, the seeded random
+// load most trials share, and the bridge from IcgContractChecker violations to test
+// failures. The contract itself lives in src/harness/icg_contract.h, and the
+// deployment the trials drive (ShardedTrial) in src/harness/scenario.h.
 //
 // Environment:
 //   ICG_ORACLE_SEED    the trials' seed, default 12345 (CI also sweeps 1, 7, 20260731)
@@ -22,8 +23,8 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/harness/deployment.h"
 #include "src/harness/icg_contract.h"
+#include "src/harness/scenario.h"
 
 namespace icg {
 
@@ -81,43 +82,6 @@ inline void ExpectContract(const IcgContractChecker& checker, const std::string&
   EXPECT_TRUE(checker.clean()) << context << ": " << checker.violations() << " violations"
                                << listed;
 }
-
-const std::vector<Region> kRegions3 = {Region::kFrankfurt, Region::kIreland, Region::kVirginia};
-const std::vector<Region> kRegions5 = {Region::kFrankfurt, Region::kIreland, Region::kVirginia,
-                                       Region::kCalifornia, Region::kOregon};
-
-// The deployment most trials drive, built in this order: a sharded Cassandra stack
-// (quorum-2 strong reads) with its own client in Ireland, then one routed client per
-// region in `client_regions`. The world's checker sees every invocation.
-struct ShardedTrial {
-  ShardedTrial(uint64_t seed, int coordinators, std::vector<Region> replicas,
-               BatchConfig batch = {}, KvConfig kv = {},
-               AllowedErrors allowed = AllowedErrors::kNone,
-               std::vector<Region> client_regions = {Region::kFrankfurt, Region::kVirginia})
-      : world(seed),
-        stack(MakeShardedCassandraStack(world, coordinators, kv, CassandraBindingConfig{},
-                                        Region::kIreland, std::move(replicas), batch)),
-        checker(allowed) {
-    clients.push_back(stack.client());
-    for (const Region region : client_regions) {
-      clients.push_back(
-          AddShardedCassandraClient(world, stack, CassandraBindingConfig{}, region, batch)
-              .client.get());
-    }
-  }
-
-  // Preloads "init" at key_prefix + [0, keys).
-  void Preload(const std::string& key_prefix, int keys) {
-    for (int i = 0; i < keys; ++i) {
-      stack.cluster->Preload(key_prefix + std::to_string(i), "init");
-    }
-  }
-
-  SimWorld world;
-  ShardedCassandraStack stack;
-  std::vector<CorrectableClient*> clients;
-  IcgContractChecker checker;
-};
 
 // The after-run half of the contract, for keys preloaded with "init" and one writer each.
 inline void ExpectKvContract(ShardedTrial& trial, const std::string& context) {

@@ -141,7 +141,8 @@ TEST_P(NoOverselling, SoldExactlyStock) {
     sellers.push_back(std::make_unique<TicketSeller>(endpoints.back().client.get(), config));
     auto next = std::make_shared<std::function<void()>>();
     TicketSeller* s = sellers.back().get();
-    *next = [s, next, &sold, &duplicate_sales]() {
+    // `loops` owns each seller's loop; a closure holding its own shared_ptr would leak.
+    *next = [s, next = next.get(), &sold, &duplicate_sales]() {
       s->PurchaseTicket([next, &sold, &duplicate_sales](PurchaseOutcome o) {
         if (o.purchased) {
           if (!sold.insert(o.ticket_seq).second) {
