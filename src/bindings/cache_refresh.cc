@@ -8,23 +8,13 @@ RefreshHook CacheReadRefresh(ClientCache* cache) {
       return;
     }
     if (op.type == OpType::kMultiGet) {
-      // A batched read refreshes every key it covered, from its slice of the payload.
-      // Per-key versions matter here: installing the batch-wide max would wedge the
-      // version-guarded cache against later legitimate refreshes of slower keys.
-      const std::vector<std::string> parts = SplitMultiValue(result.value, op.keys.size());
-      const bool per_key_found = result.key_found.size() == op.keys.size();
-      const bool per_key_versions = result.key_versions.size() == op.keys.size();
+      // A batched read refreshes every key it covered, each under its own entry's
+      // version: installing the batch-wide max would wedge the version-guarded cache
+      // against later legitimate refreshes of slower keys.
       for (size_t i = 0; i < op.keys.size(); ++i) {
-        const bool found = per_key_found ? static_cast<bool>(result.key_found[i])
-                                         : (result.found || !parts[i].empty());
-        if (!found) {
-          continue;  // this key missed; nothing to install
+        if (result.entries[i].found) {
+          cache->Refresh(op.keys[i], result.entries[i]);
         }
-        OpResult per_key;
-        per_key.found = true;
-        per_key.value = parts[i];
-        per_key.version = per_key_versions ? result.key_versions[i] : result.version;
-        cache->Refresh(op.keys[i], per_key);
       }
       return;
     }
@@ -38,15 +28,14 @@ RefreshHook CacheReadRefresh(ClientCache* cache) {
 RefreshHook CacheWriteRefresh(ClientCache* cache) {
   return [cache](const Operation& op, const OpResult& ack, ConsistencyLevel) {
     if (op.type == OpType::kMultiPut) {
-      // Entries applied in order: refresh in the same order so a later write to the same
-      // key within the batch wins in the cache exactly as it did in the store — under
-      // each entry's own acknowledged version where the store reported them.
-      const bool per_key_versions = ack.key_versions.size() == op.keys.size();
+      // Entries applied in order: refresh in the same order, each under its own
+      // acknowledged version, so a later write to the same key within the batch wins in
+      // the cache exactly as it did in the store.
       for (size_t i = 0; i < op.keys.size() && i < op.values.size(); ++i) {
         OpResult cached;
         cached.found = true;
         cached.value = op.values[i];
-        cached.version = per_key_versions ? ack.key_versions[i] : ack.version;
+        cached.version = ack.entries[i].version;
         cache->Refresh(op.keys[i], cached);
       }
       return;
@@ -60,8 +49,7 @@ RefreshHook CacheWriteRefresh(ClientCache* cache) {
 }
 
 OpResult CacheMultiLookup(ClientCache* cache, const std::vector<std::string>& keys) {
-  return JoinMultiLookup(
-      keys, [cache](const std::string& key) { return cache->Get(key); });
+  return MultiLookup(keys, [cache](const std::string& key) { return cache->Get(key); });
 }
 
 }  // namespace icg

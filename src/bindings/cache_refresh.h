@@ -13,14 +13,14 @@
 
 namespace icg {
 
-// Both hooks understand the batched shapes too: a kMultiGet view (or kMultiPut ack) is
-// split back into per-key entries before refreshing, so one batched round-trip leaves
-// the cache exactly as coherent as the per-key requests it replaced.
+// Both hooks understand the batched shapes too: a kMultiGet view (or kMultiPut ack)
+// refreshes the cache entry by entry, so one batched round-trip leaves the cache exactly
+// as coherent as the per-key requests it replaced.
 RefreshHook CacheReadRefresh(ClientCache* cache);
 RefreshHook CacheWriteRefresh(ClientCache* cache);
 
-// The cache-level view of a batched read: per-key lookups joined in request order
-// (missing keys contribute empty parts; `found` only if every key hit, `seqno` = hits).
+// The cache-level view of a batched read: one entry per key in request order (see
+// MultiLookup).
 OpResult CacheMultiLookup(ClientCache* cache, const std::vector<std::string>& keys);
 
 }  // namespace icg

@@ -33,7 +33,7 @@ InvocationPlan CachedPbBinding::PlanInvocation(const Operation& op, const LevelS
       return plan;
     case OpType::kMultiGet:
       // Batched read: the same per-level fan-out as kGet, each level one multi-key
-      // round-trip whose payload joins the per-key parts in request order.
+      // round-trip whose result carries one entry per key in request order.
       if (levels.Contains(ConsistencyLevel::kCache)) {
         plan.AddStep(ConsistencyLevel::kCache,
                      [cache = cache_](const Operation& get, LevelEmitter emit) {

@@ -47,11 +47,10 @@ void BatchScheduler::SetConfig(const BatchConfig& config) {
       open.timer = 0;
     }
     const SimTime deadline = open.opened_at + config_.batch_window;
-    if (config_.batch_window == 0 || deadline <= now ||
-        open.cohort.ops.size() >= config_.max_batch_ops) {
-      // Shrink-to-0 (batching disabled: no timer would ever fire again), a deadline
-      // already in the past under the new window, or a cohort the new size cap says is
-      // full — all flush now. Collected first: Flush mutates pending_.
+    if (config_.batch_window == 0 || deadline <= now) {
+      // Shrink-to-0 (batching disabled: no timer would ever fire again) or a deadline
+      // already in the past under the new window: flush now. Collected first: Flush
+      // mutates pending_.
       flush_now.push_back(key);
       continue;
     }
@@ -81,7 +80,7 @@ void BatchScheduler::Admit(bool is_read, std::string scope, const LevelVec& leve
     it = pending_.emplace(std::move(key), std::move(open)).first;
   }
   it->second.cohort.ops.push_back(Pending{std::move(op), std::move(waiter)});
-  if (it->second.cohort.ops.size() >= config_.max_batch_ops) {
+  if (it->second.cohort.ops.size() >= kMaxBatchOps) {
     Flush(it->first);
   }
 }

@@ -37,13 +37,14 @@ struct BatchConfig {
   // batching entirely: the pipeline keeps the legacy behaviour (same-tick read
   // coalescing, one store submission per write) bit-for-bit.
   SimDuration batch_window = 0;
-  // A cohort reaching this many operations flushes immediately instead of waiting out
-  // the window (bounds store request sizes and worst-case queueing).
-  size_t max_batch_ops = 128;
 };
 
 class BatchScheduler {
  public:
+  // A cohort reaching this many operations flushes immediately instead of waiting out
+  // the window (bounds store request sizes and worst-case queueing).
+  static constexpr size_t kMaxBatchOps = 128;
+
   // One admitted operation waiting in a cohort. `waiter` is the pipeline's per-invocation
   // delivery state, opaque to the scheduler.
   struct Pending {
@@ -73,9 +74,9 @@ class BatchScheduler {
   // against it: each open cohort's deadline is re-derived from its original open time
   // (opened_at + new window), so no waiter is ever delayed by more than one *new*
   // batch_window. A cohort whose new deadline has already passed — including any
-  // shrink-to-0 — flushes synchronously, and a cohort at or over the new max_batch_ops
-  // flushes too. Old timers are cancelled before new ones arm and Flush() is
-  // idempotent, so waiters are neither dropped nor double-flushed by reconfiguration.
+  // shrink-to-0 — flushes synchronously. Old timers are cancelled before new ones arm
+  // and Flush() is idempotent, so waiters are neither dropped nor double-flushed by
+  // reconfiguration.
   void SetConfig(const BatchConfig& config);
   const BatchConfig& config() const { return config_; }
 
@@ -84,8 +85,8 @@ class BatchScheduler {
   bool enabled() const { return loop_ != nullptr && config_.batch_window > 0; }
 
   // Queues `op` into the pending cohort for (is_read, scope, levels), opening the cohort
-  // (and arming its flush timer) if none is pending. May flush synchronously when the
-  // cohort hits max_batch_ops. Requires enabled().
+  // (and arming its flush timer) if none is pending. Flushes synchronously when the
+  // cohort reaches kMaxBatchOps. Requires enabled().
   void Admit(bool is_read, std::string scope, const LevelVec& levels, Operation op,
              std::shared_ptr<void> waiter);
 

@@ -157,12 +157,13 @@ class Binding {
   // Whether this binding can satisfy a kMultiGet covering several accumulated reads in
   // one store round-trip. The pipeline only widens read batches across ticks (and merges
   // distinct keys into one multiget) when this returns true; otherwise reads keep the
-  // legacy same-tick coalescing path.
+  // legacy same-tick coalescing path. A kMultiGet value must carry one entry per key.
   virtual bool SupportsBatchedReads() const { return false; }
 
   // Whether this binding can satisfy a kMultiPut (several writes applied in order) in
   // one store submission. The pipeline only queues and flushes writes as a batch when
-  // this returns true; otherwise every write launches individually.
+  // this returns true; otherwise every write launches individually. A kMultiPut ack must
+  // carry one entry per write.
   virtual bool SupportsBatchedWrites() const { return false; }
 
   // Called once per raw response in the legacy fan-out shape; kept for binding-level

@@ -10,7 +10,7 @@ namespace icg {
 namespace {
 
 // One shard's slice of a cross-shard multiget: the sub-keys it owns and their positions
-// in the original key list (for reassembling the merged payload in request order).
+// in the original key list (for placing the shard's entries in request order).
 struct ShardSlice {
   size_t shard = 0;
   std::vector<std::string> keys;
@@ -87,37 +87,18 @@ void EmitMergedLevel(GatherState& state, ConsistencyLevel level, const LevelGath
     return;
   }
 
-  std::vector<std::string> parts(state.total_keys);
-  OpResult merged;
-  merged.found = true;
-  merged.seqno = 0;
-  merged.key_found.assign(state.total_keys, false);
-  merged.key_versions.assign(state.total_keys, Version{});
+  std::vector<OpResult> entries(state.total_keys);
   for (size_t i = 0; i < state.slices.size(); ++i) {
     const ShardSlice& slice = state.slices[i];
     // A confirmed shard did not resend its payload; its final is its recorded
     // preliminary.
     const OpResult& result =
         gather.confirmed[i] ? *state.latest_value[i] : gather.slots[i]->value();
-    const std::vector<std::string> shard_parts = SplitMultiValue(result.value, slice.keys.size());
-    const bool detail = result.key_found.size() == slice.keys.size();
-    const bool versions = result.key_versions.size() == slice.keys.size();
     for (size_t k = 0; k < slice.keys.size(); ++k) {
-      parts[slice.positions[k]] = shard_parts[k];
-      merged.key_found[slice.positions[k]] =
-          detail ? static_cast<bool>(result.key_found[k])
-                 : (result.found || !shard_parts[k].empty());
-      merged.key_versions[slice.positions[k]] =
-          versions ? result.key_versions[k] : result.version;
-    }
-    merged.found = merged.found && result.found;
-    merged.seqno += result.seqno > 0 ? result.seqno : 0;
-    if (merged.version < result.version) {
-      merged.version = result.version;
+      entries[slice.positions[k]] = result.entries[k];
     }
   }
-  merged.value = JoinMultiValue(parts);
-  state.emit(level, std::move(merged));
+  state.emit(level, BatchResult(std::move(entries)));
 }
 
 void OnShardResponse(const std::shared_ptr<GatherState>& state, size_t slice_index,

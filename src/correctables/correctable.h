@@ -494,51 +494,58 @@ class Correctable {
 // on the first part error.
 template <typename T>
 Correctable<std::vector<T>> WhenAll(const std::vector<Correctable<T>>& parts) {
+  // The state keeps each part's latest view, not the part: every part's callbacks hold
+  // the state, so holding the parts too would be a cycle that a part never reaching a
+  // terminal view leaks.
   struct AggState {
     CorrectableSource<std::vector<T>> out;
-    std::vector<Correctable<T>> parts;
+    std::vector<std::optional<View<T>>> latest;
     size_t finals = 0;
   };
   auto st = PooledMakeShared<AggState>();
-  st->parts = parts;
 
   if (parts.empty()) {
     st->out.Close({}, ConsistencyLevel::kStrong);
     return st->out.GetCorrectable();
   }
 
-  auto snapshot = [st]() -> std::optional<std::pair<std::vector<T>, ConsistencyLevel>> {
+  // Seeded before any callback attaches: an attach replays the part's state, and that
+  // replay must already see every other part's view.
+  st->latest.resize(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].HasView()) {
+      st->latest[i] = parts[i].LatestView();
+    }
+  }
+
+  // Records part i's view, then emits the aggregate once every part has one.
+  auto record = [st](size_t i, const View<T>& v) {
+    st->latest[i] = v;
+    if (v.is_final) {
+      st->finals++;
+    }
     std::vector<T> values;
-    values.reserve(st->parts.size());
+    values.reserve(st->latest.size());
     auto weakest = ConsistencyLevel::kStrong;
-    for (const auto& p : st->parts) {
-      if (!p.HasView()) {
-        return std::nullopt;
+    for (const auto& view : st->latest) {
+      if (!view.has_value()) {
+        return;
       }
-      values.push_back(p.LatestView().value);
-      if (IsStronger(weakest, p.LatestView().level)) {
-        weakest = p.LatestView().level;
+      values.push_back(view->value);
+      if (IsStronger(weakest, view->level)) {
+        weakest = view->level;
       }
     }
-    return std::make_pair(std::move(values), weakest);
+    if (st->finals == st->latest.size()) {
+      st->out.Close(std::move(values), weakest);
+    } else {
+      st->out.Update(std::move(values), weakest);
+    }
   };
-
-  for (auto& part : st->parts) {
-    part.OnUpdate([st, snapshot](const View<T>&) {
-      if (auto snap = snapshot()) {
-        st->out.Update(std::move(snap->first), snap->second);
-      }
-    });
-    part.OnFinal([st, snapshot](const View<T>&) {
-      st->finals++;
-      if (auto snap = snapshot()) {
-        if (st->finals == st->parts.size()) {
-          st->out.Close(std::move(snap->first), snap->second);
-        } else {
-          st->out.Update(std::move(snap->first), snap->second);
-        }
-      }
-    });
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Correctable<T> part = parts[i];
+    part.OnUpdate([record, i](const View<T>& v) { record(i, v); });
+    part.OnFinal([record, i](const View<T>& v) { record(i, v); });
     part.OnError([st](const Status& s) { st->out.Fail(s); });
   }
   return st->out.GetCorrectable();

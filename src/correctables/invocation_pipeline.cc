@@ -56,8 +56,9 @@ struct PlanRun {
 
 // The one definition of "run a plan", shared by the stateful pipeline and the raw
 // Binding::SubmitOperation path: runs every fetch step, enforcing the step's declared
-// levels (an emission at an undeclared level is a binding bug and is dropped) and
-// applying the plan's write-through refresh hook before forwarding to the sink.
+// levels (an emission at an undeclared level is a binding bug and is dropped) and one
+// entry per key in every value (anything else fails), and applying the plan's
+// write-through refresh hook before forwarding to the sink.
 void RunPlanSteps(std::shared_ptr<PlanRun> run, SmallVec<FetchStep, 2>& steps) {
   for (FetchStep& step : steps) {
     LevelEmitter emit([run, declared = std::move(step.levels)](
@@ -67,6 +68,12 @@ void RunPlanSteps(std::shared_ptr<PlanRun> run, SmallVec<FetchStep, 2>& steps) {
         ICG_DEBUG << "binding " << *run->binding_name << " emitted undeclared level "
                   << ConsistencyLevelName(level) << "; dropped";
         return;
+      }
+      if (result.ok() && kind == ResponseKind::kValue &&
+          result.value().entries.size() != run->op->keys.size()) {
+        // Readers index a batched result's entries by key position.
+        result = Status::Internal("binding " + *run->binding_name +
+                                  " answered without one entry per key");
       }
       if (run->refresh && result.ok() && kind == ResponseKind::kValue) {
         run->refresh(*run->op, result.value(), level);
@@ -145,7 +152,7 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
         if (batch->waiters.size() == 1) {
           stats_->batched_invocations++;
         }
-        batch->waiters.push_back(inv);
+        batch->waiters.push_back({inv});
         // Catch up on anything the batch already surfaced this tick (synchronous
         // levels, e.g. the client cache, resolve during the leader's submission).
         for (const Batch::Emission& e : batch->history) {
@@ -161,7 +168,7 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
   batch->op = std::move(op);
   batch->level_set = LevelSet(std::move(levels));
   batch->coalescable = coalescable;
-  batch->waiters.push_back(std::move(inv));
+  batch->waiters.push_back({std::move(inv)});
   if (coalescable) {
     batch->map_key = scratch_key_;  // short keys stay in SSO storage
     open_batches_[batch->map_key] = batch;
@@ -189,36 +196,30 @@ void InvocationPipeline::CancelTimeout(Invocation& inv) {
   }
 }
 
-void InvocationPipeline::RunPlan(std::shared_ptr<const Operation> op, const LevelSet& level_set,
-                                 LevelEmitter::Sink sink) {
-  InvocationPlan plan = binding_->PlanInvocation(*op, level_set);
-  const ConsistencyLevel strongest = level_set.strongest();
+void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
+  InvocationPlan plan = binding_->PlanInvocation(batch->op, batch->level_set);
+  const ConsistencyLevel strongest = batch->level_set.strongest();
   if (!plan.reject.ok()) {
-    sink(strongest, std::move(plan.reject), ResponseKind::kValue);
+    OnEmission(batch, strongest, std::move(plan.reject), ResponseKind::kValue);
     return;
   }
   if (!PlanCoversFinal(plan, strongest)) {
-    sink(strongest,
-         Status::Internal("plan from binding '" + binding_->Name() +
-                          "' does not cover the strongest requested level"),
-         ResponseKind::kValue);
+    OnEmission(batch, strongest,
+               Status::Internal("plan from binding '" + binding_->Name() +
+                                "' does not cover the strongest requested level"),
+               ResponseKind::kValue);
     return;
   }
   auto run = PooledMakeShared<PlanRun>();
-  run->op = std::move(op);
+  // Aliasing constructor: the run shares the batch's operation instead of copying it.
+  run->op = std::shared_ptr<const Operation>(batch, &batch->op);
   run->refresh = std::move(plan.refresh);
   run->binding_name = &binding_name_;
-  run->sink = std::move(sink);
+  run->sink = [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
+                            ResponseKind kind) {
+    OnEmission(batch, level, std::move(result), kind);
+  };
   RunPlanSteps(std::move(run), plan.steps);
-}
-
-void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
-  // Aliasing constructor: the run shares the batch's operation instead of copying it.
-  RunPlan(std::shared_ptr<const Operation>(batch, &batch->op), batch->level_set,
-          [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                        ResponseKind kind) {
-            OnEmission(batch, level, std::move(result), kind);
-          });
 }
 
 void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
@@ -245,17 +246,23 @@ void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
   if (batch->coalescable && !batch->done) {
     batch->history.push_back(Batch::Emission{level, result, kind});
   }
-  // Deliver to the waiters present when this response arrived; the last one is handed
-  // the result itself (no copy).
+  // Deliver to the waiters present when this response arrived. A waiter holding an entry
+  // index takes its own entry of a value; errors and confirmations go whole to every
+  // waiter. The last waiter is handed the result itself (no copy).
   const size_t present = batch->waiters.size();
   if (!batch->coalescable) {
+    const bool per_entry = result.ok() && kind == ResponseKind::kValue;
     // Only coalescable batches are joinable, so this waiter list cannot grow (or
     // reallocate) under the loop: deliver by reference, skipping the shared_ptr copies.
     for (size_t i = 0; i < present; ++i) {
-      if (i + 1 == present) {
-        Deliver(*batch->waiters[i], level, std::move(result), kind);
+      const Batch::Waiter& waiter = batch->waiters[i];
+      if (waiter.entry >= 0 && per_entry) {
+        Deliver(*waiter.invocation, level,
+                result.value().entries[static_cast<size_t>(waiter.entry)], kind);
+      } else if (i + 1 == present) {
+        Deliver(*waiter.invocation, level, std::move(result), kind);
       } else {
-        Deliver(*batch->waiters[i], level, result, kind);
+        Deliver(*waiter.invocation, level, result, kind);
       }
     }
     return;
@@ -264,7 +271,7 @@ void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
   // joiners already received this emission through the history replay, so the bound must
   // not move. Copy the shared_ptr per iteration: push_back may reallocate under us.
   for (size_t i = 0; i < present; ++i) {
-    std::shared_ptr<Invocation> inv = batch->waiters[i];
+    std::shared_ptr<Invocation> inv = batch->waiters[i].invocation;
     if (i + 1 == present) {
       Deliver(*inv, level, std::move(result), kind);
     } else {
@@ -298,59 +305,50 @@ void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort cohort) {
 
 void InvocationPipeline::FlushReadGroup(const LevelVec& levels,
                                         std::vector<BatchScheduler::Pending> ops) {
-  const size_t waiters = ops.size();
-  std::vector<std::string> keys;  // distinct, in arrival order
-  std::map<std::string, size_t> key_index;
-  std::vector<std::vector<std::shared_ptr<Invocation>>> key_waiters;
-  for (auto& pending : ops) {
-    auto inv = std::static_pointer_cast<Invocation>(std::move(pending.waiter));
-    auto [it, inserted] = key_index.emplace(pending.op.key, keys.size());
-    if (inserted) {
-      keys.push_back(pending.op.key);
-      key_waiters.emplace_back();
-    }
-    key_waiters[it->second].push_back(std::move(inv));
-  }
-  if (waiters > 1) {
+  if (ops.size() > 1) {
     stats_->cross_tick_batches++;
     stats_->batched_invocations++;
-    stats_->coalesced_reads += static_cast<int64_t>(waiters) - 1;
+    stats_->coalesced_reads += static_cast<int64_t>(ops.size()) - 1;
   }
-
-  if (keys.size() == 1) {
-    // One distinct key: the flush is an ordinary (possibly multi-waiter) read batch; the
-    // existing launch/delivery machinery applies unchanged.
-    auto batch = PooledMakeShared<Batch>();
-    batch->op = Operation::Get(keys.front());
-    batch->level_set = LevelSet(levels);
-    for (auto& inv : key_waiters.front()) {
-      batch->waiters.push_back(std::move(inv));
+  auto batch = PooledMakeShared<Batch>();
+  batch->level_set = LevelSet(levels);
+  std::vector<std::string> keys;  // one entry per distinct key, in first-arrival order
+  std::map<std::string, int> entry_of;
+  batch->waiters.reserve(ops.size());
+  for (auto& pending : ops) {
+    auto [it, inserted] = entry_of.emplace(pending.op.key, static_cast<int>(keys.size()));
+    if (inserted) {
+      keys.push_back(std::move(pending.op.key));
     }
-    Launch(batch);
-    return;
+    batch->waiters.push_back(
+        {std::static_pointer_cast<Invocation>(std::move(pending.waiter)), it->second});
   }
-
-  auto fanout = PooledMakeShared<Fanout>();
-  fanout->op = Operation::MultiGet(keys);
-  fanout->level_set = LevelSet(levels);
-  fanout->is_read = true;
-  fanout->keys = std::move(keys);
-  fanout->key_waiters = std::move(key_waiters);
-  RunPlan(std::shared_ptr<const Operation>(fanout, &fanout->op), fanout->level_set,
-          [this, fanout](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                         ResponseKind kind) {
-            OnFanoutEmission(fanout, level, std::move(result), kind);
-          });
+  // Waiters are delivered grouped by key (arrival order within a key), and their callbacks
+  // may submit follow-up operations: this order is part of the schedule.
+  std::stable_sort(batch->waiters.begin(), batch->waiters.end(),
+                   [](const Batch::Waiter& a, const Batch::Waiter& b) {
+                     return a.entry < b.entry;
+                   });
+  if (keys.size() == 1) {
+    // One distinct key: an ordinary read whose result every waiter takes whole.
+    batch->op = Operation::Get(std::move(keys[0]));
+    for (Batch::Waiter& waiter : batch->waiters) {
+      waiter.entry = -1;
+    }
+  } else {
+    batch->op = Operation::MultiGet(std::move(keys));
+  }
+  Launch(batch);
 }
 
 void InvocationPipeline::FlushWriteGroup(const LevelVec& levels,
                                          std::vector<BatchScheduler::Pending> ops) {
+  auto batch = PooledMakeShared<Batch>();
+  batch->level_set = LevelSet(levels);
   if (ops.size() == 1) {
     // A lone queued write launches exactly like an unbatched one (just window-delayed).
-    auto batch = PooledMakeShared<Batch>();
     batch->op = std::move(ops.front().op);
-    batch->level_set = LevelSet(levels);
-    batch->waiters.push_back(std::static_pointer_cast<Invocation>(std::move(ops.front().waiter)));
+    batch->waiters.push_back({std::static_pointer_cast<Invocation>(std::move(ops.front().waiter))});
     Launch(batch);
     return;
   }
@@ -358,8 +356,7 @@ void InvocationPipeline::FlushWriteGroup(const LevelVec& levels,
   stats_->batched_writes += static_cast<int64_t>(ops.size());
 
   // Arrival order is program order: the multiput applies entries in vector order, so two
-  // queued writes to the same key land in submission order.
-  auto fanout = PooledMakeShared<Fanout>();
+  // queued writes to the same key land in submission order. Waiter i takes entry i.
   std::vector<std::string> keys;
   std::vector<std::string> values;
   std::vector<SimTime> timestamps;
@@ -370,94 +367,12 @@ void InvocationPipeline::FlushWriteGroup(const LevelVec& levels,
     keys.push_back(std::move(pending.op.key));
     values.push_back(std::move(pending.op.value));
     timestamps.push_back(pending.op.timestamp);  // submission-time stamps ride along
-    fanout->write_waiters.push_back(
-        std::static_pointer_cast<Invocation>(std::move(pending.waiter)));
+    batch->waiters.push_back({std::static_pointer_cast<Invocation>(std::move(pending.waiter)),
+                              static_cast<int>(batch->waiters.size())});
   }
-  fanout->op = Operation::MultiPut(std::move(keys), std::move(values));
-  fanout->op.timestamps = std::move(timestamps);
-  fanout->level_set = LevelSet(levels);
-  fanout->is_read = false;
-  RunPlan(std::shared_ptr<const Operation>(fanout, &fanout->op), fanout->level_set,
-          [this, fanout](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                         ResponseKind kind) {
-            OnFanoutEmission(fanout, level, std::move(result), kind);
-          });
-}
-
-void InvocationPipeline::OnFanoutEmission(const std::shared_ptr<Fanout>& fanout,
-                                          ConsistencyLevel level, StatusOr<OpResult> result,
-                                          ResponseKind kind) {
-  if (!fanout->level_set.Contains(level)) {
-    ICG_DEBUG << "binding " << binding_->Name() << " emitted unrequested level "
-              << ConsistencyLevelName(level) << " on a batched submission; dropped";
-    return;
-  }
-
-  if (!fanout->is_read) {
-    // One ack (or error) covers the whole batched write: every queued waiter sees it —
-    // under its own entry's acknowledged version when the store reported them
-    // (write_waiters is parallel to the multiput's entries).
-    const bool per_entry_versions =
-        result.ok() && result.value().key_versions.size() == fanout->write_waiters.size();
-    for (size_t i = 0; i < fanout->write_waiters.size(); ++i) {
-      if (per_entry_versions) {
-        OpResult ack = result.value();
-        ack.version = ack.key_versions[i];
-        ack.key_found.clear();
-        ack.key_versions.clear();
-        ack.seqno = -1;
-        Deliver(*fanout->write_waiters[i], level, StatusOr<OpResult>(std::move(ack)), kind);
-      } else {
-        Deliver(*fanout->write_waiters[i], level, result, kind);
-      }
-    }
-    return;
-  }
-
-  if (!result.ok()) {
-    // A failed batched flush fans the error to exactly the waiters in this batch; the
-    // per-waiter delivery decides whether it is tolerable (preliminary) or terminal.
-    for (const auto& waiters : fanout->key_waiters) {
-      for (const std::shared_ptr<Invocation>& inv : waiters) {
-        Deliver(*inv, level, result, kind);
-      }
-    }
-    return;
-  }
-
-  if (kind == ResponseKind::kConfirmation) {
-    // §5.2 reconstruction per waiter: the store confirmed the whole multiget, so each
-    // waiter's final equals the preliminary slice it already holds.
-    const StatusOr<OpResult> confirm{OpResult{}};
-    for (const auto& waiters : fanout->key_waiters) {
-      for (const std::shared_ptr<Invocation>& inv : waiters) {
-        Deliver(*inv, level, confirm, ResponseKind::kConfirmation);
-      }
-    }
-    return;
-  }
-
-  // Fan the joined multiget payload back out: each waiter sees only its own key's slice,
-  // as if it had issued a lone read.
-  const OpResult& joined = result.value();
-  const std::vector<std::string> parts = SplitMultiValue(joined.value, fanout->keys.size());
-  const bool per_key_found = joined.key_found.size() == fanout->keys.size();
-  const bool per_key_versions = joined.key_versions.size() == fanout->keys.size();
-  for (size_t i = 0; i < fanout->keys.size(); ++i) {
-    OpResult slice;
-    // Prefer the responder's per-key detail; without it, fall back to the joined fields
-    // (`found` of a joined result ANDs across keys, so a key counts as found if the
-    // whole batch was or its slice carries a payload — a found-but-empty value is then
-    // indistinguishable from a miss, which is why responders should fill the detail).
-    slice.found = per_key_found ? static_cast<bool>(joined.key_found[i])
-                                : (joined.found || !parts[i].empty());
-    slice.value = parts[i];
-    slice.version = per_key_versions ? joined.key_versions[i] : joined.version;
-    const StatusOr<OpResult> sliced{std::move(slice)};
-    for (const std::shared_ptr<Invocation>& inv : fanout->key_waiters[i]) {
-      Deliver(*inv, level, sliced, ResponseKind::kValue);
-    }
-  }
+  batch->op = Operation::MultiPut(std::move(keys), std::move(values));
+  batch->op.timestamps = std::move(timestamps);
+  Launch(batch);
 }
 
 void InvocationPipeline::Deliver(Invocation& inv, ConsistencyLevel level,

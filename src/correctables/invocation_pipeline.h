@@ -18,12 +18,12 @@
 //     every waiting Correctable;
 //   * cross-tick batching (BatchConfig::batch_window > 0): reads for one coalescing
 //     scope accumulate across ticks and flush as a single multiget round-trip serving
-//     the whole cohort (per-waiter fan-back-out, including per-waiter confirmation
-//     reconstruction); writes to one scope queue and flush as a single in-order multiput
-//     submission. Scope keys come from Binding::CoalescingScope for reads AND writes,
-//     re-consulted at flush time so a rebalance mid-window re-routes instead of letting
-//     a batch span shards. With batch_window == 0 the legacy same-tick behaviour is
-//     preserved bit-for-bit.
+//     the whole cohort (each waiter receives its own key's entry of the result, and a
+//     confirmation closes every waiter on its own preliminary); writes to one scope
+//     queue and flush as a single in-order multiput submission. Scope keys come from
+//     Binding::CoalescingScope for reads AND writes, re-consulted at flush time so a
+//     rebalance mid-window re-routes instead of letting a batch span shards. With
+//     batch_window == 0 the legacy same-tick behaviour is preserved bit-for-bit.
 #ifndef ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 #define ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 
@@ -103,14 +103,21 @@ class InvocationPipeline {
     TimerId timer = 0;
   };
 
-  // One planned store round-trip set, fanned out to one or more waiters.
+  // One planned store round-trip set, delivered to one or more waiters: a lone
+  // submission, a same-tick coalesced read, or a flushed cross-tick cohort.
   struct Batch {
+    // `entry` indexes the waiter's own entry of a batched (kMultiGet / kMultiPut) result;
+    // -1 means the waiter takes the whole result.
+    struct Waiter {
+      std::shared_ptr<Invocation> invocation;
+      int entry = -1;
+    };
     Operation op;
     LevelSet level_set;
     bool coalescable = false;
     bool done = false;           // strongest-level response delivered
     std::string map_key;         // open_batches_ entry while joinable
-    SmallVec<std::shared_ptr<Invocation>, 2> waiters;
+    SmallVec<Waiter, 2> waiters;
     struct Emission {
       ConsistencyLevel level;
       StatusOr<OpResult> result;
@@ -119,24 +126,10 @@ class InvocationPipeline {
     SmallVec<Emission, 2> history;  // replayed to late same-tick joiners
   };
 
-  // One flushed cross-tick cohort running as a batched store submission. For reads the
-  // multiget payload is sliced back out per key; for writes the single multiput ack (or
-  // error) fans out to every queued waiter.
-  struct Fanout {
-    Operation op;  // kMultiGet / kMultiPut
-    LevelSet level_set;
-    bool is_read = false;
-    std::vector<std::string> keys;  // reads: distinct keys, in op.keys order
-    std::vector<std::vector<std::shared_ptr<Invocation>>> key_waiters;  // parallel to keys
-    std::vector<std::shared_ptr<Invocation>> write_waiters;  // writes: arrival order
-  };
-
   void ArmTimeout(const std::shared_ptr<Invocation>& inv);
   void CancelTimeout(Invocation& inv);
-  // Plans `op` against the binding and runs the plan's steps into `sink` (shared
-  // rejection/coverage validation for both the per-batch and fan-out paths).
-  void RunPlan(std::shared_ptr<const Operation> op, const LevelSet& level_set,
-               LevelEmitter::Sink sink);
+  // Plans the batch's operation against the binding and runs the plan's steps, each
+  // emission going to OnEmission.
   void Launch(const std::shared_ptr<Batch>& batch);
   void OnEmission(const std::shared_ptr<Batch>& batch, ConsistencyLevel level,
                   StatusOr<OpResult> result, ResponseKind kind);
@@ -144,10 +137,8 @@ class InvocationPipeline {
   void OnCohortFlush(BatchScheduler::Cohort cohort);
   void FlushReadGroup(const LevelVec& levels, std::vector<BatchScheduler::Pending> ops);
   void FlushWriteGroup(const LevelVec& levels, std::vector<BatchScheduler::Pending> ops);
-  void OnFanoutEmission(const std::shared_ptr<Fanout>& fanout, ConsistencyLevel level,
-                        StatusOr<OpResult> result, ResponseKind kind);
   // Translates one raw response into a view transition on one waiter. Takes the result
-  // by value: fan-out callers copy per waiter anyway, and the last waiter of an emission
+  // by value: OnEmission copies per waiter anyway, and the last waiter of an emission
   // can be handed the original without a copy.
   void Deliver(Invocation& inv, ConsistencyLevel level, StatusOr<OpResult> result,
                ResponseKind kind);

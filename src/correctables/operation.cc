@@ -79,65 +79,36 @@ int64_t Operation::WireBytes() const {
   return bytes;
 }
 
-std::string JoinMultiValue(const std::vector<std::string>& parts) {
-  std::string joined;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      joined += kMultiValueSeparator;
-    }
-    joined += parts[i];
-  }
-  return joined;
-}
-
-OpResult JoinMultiLookup(
-    const std::vector<std::string>& keys,
-    const std::function<std::optional<OpResult>(const std::string&)>& lookup) {
-  OpResult joined;
-  joined.found = true;
-  joined.seqno = 0;
-  joined.key_found.reserve(keys.size());
-  joined.key_versions.reserve(keys.size());
-  std::vector<std::string> parts;
-  parts.reserve(keys.size());
-  for (const auto& key : keys) {
-    const std::optional<OpResult> hit = lookup(key);
-    if (!hit.has_value() || !hit->found) {
-      joined.found = false;
-      joined.key_found.push_back(false);
-      joined.key_versions.push_back(Version{});
-      parts.emplace_back();
+OpResult BatchResult(std::vector<OpResult> entries) {
+  OpResult batch;
+  batch.found = true;
+  batch.seqno = 0;
+  for (const OpResult& entry : entries) {
+    if (!entry.found) {
+      batch.found = false;
       continue;
     }
-    parts.push_back(hit->value);
-    joined.key_found.push_back(true);
-    joined.key_versions.push_back(hit->version);
-    joined.seqno++;
-    if (joined.version < hit->version) {
-      joined.version = hit->version;
+    batch.seqno++;
+    if (batch.version < entry.version) {
+      batch.version = entry.version;
     }
   }
-  joined.value = JoinMultiValue(parts);
-  return joined;
+  batch.entries = std::move(entries);
+  return batch;
 }
 
-std::vector<std::string> SplitMultiValue(const std::string& value, size_t count) {
-  std::vector<std::string> parts;
-  parts.reserve(count);
-  size_t start = 0;
-  while (parts.size() + 1 < count) {
-    const size_t sep = value.find(kMultiValueSeparator, start);
-    if (sep == std::string::npos) {
-      break;
+OpResult MultiLookup(const std::vector<std::string>& keys,
+                     const std::function<std::optional<OpResult>(const std::string&)>& lookup) {
+  std::vector<OpResult> entries(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::optional<OpResult> hit = lookup(keys[i]);
+    if (hit.has_value() && hit->found) {
+      entries[i].found = true;
+      entries[i].value = hit->value;
+      entries[i].version = hit->version;
     }
-    parts.push_back(value.substr(start, sep - start));
-    start = sep + 1;
   }
-  if (count > 0) {
-    parts.push_back(value.substr(start));
-  }
-  parts.resize(count);
-  return parts;
+  return BatchResult(std::move(entries));
 }
 
 std::string Operation::ToString() const {
@@ -151,7 +122,11 @@ std::string Operation::ToString() const {
 }
 
 int64_t OpResult::WireBytes() const {
-  return kResponseHeaderBytes + static_cast<int64_t>(value.size());
+  int64_t bytes = kResponseHeaderBytes + static_cast<int64_t>(value.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    bytes += static_cast<int64_t>(entries[i].value.size()) + (i > 0 ? 1 : 0);  // separator
+  }
+  return bytes;
 }
 
 std::string OpResult::ToString() const {
@@ -159,7 +134,7 @@ std::string OpResult::ToString() const {
   if (!found) {
     return "(not found)";
   }
-  os << "{" << value.size() << "B";
+  os << "{" << WireBytes() - kResponseHeaderBytes << "B";
   if (seqno >= 0) {
     os << " seq=" << seqno;
   }

@@ -67,56 +67,40 @@ struct Operation {
   std::string ToString() const;
 };
 
-// Separator between per-key payloads in a kMultiGet result value. Payload values must
-// not contain this byte — the simulated wire format is separator-based, so a value
-// embedding it would shift every later key's slice. (All workloads and apps in this
-// repo satisfy that; a length-prefixed format is the lift if one ever must not.)
-inline constexpr char kMultiValueSeparator = '\x1e';
-
-// Joins per-key payloads into the kMultiGet/kMultiPut wire format (parts separated by
-// kMultiValueSeparator; missing keys contribute an empty part).
-std::string JoinMultiValue(const std::vector<std::string>& parts);
-
-// Splits a multi-value payload into exactly `count` per-key parts (the inverse of
-// JoinMultiValue; short payloads pad with empty parts).
-std::vector<std::string> SplitMultiValue(const std::string& value, size_t count);
-
-// The result of an operation as observed under some consistency level. For kMultiGet,
-// `value` holds the per-key payloads joined by kMultiValueSeparator (missing keys
-// contribute an empty payload), `found` means every key was found, and `seqno` counts
-// the keys found.
+// The result of an operation as observed under some consistency level.
 struct OpResult {
   bool found = false;  // key existed / queue non-empty
   std::string value;   // read value or dequeued element
   // Queue element sequence number (ticket position); -1 for key-value results. For a
   // dequeue preliminary view this is the observed head position, which the ticket app
-  // uses as the remaining-stock estimate.
+  // uses as the remaining-stock estimate. A batched result counts its entries found.
   int64_t seqno = -1;
   // Version of the value (key-value stores); default for queue results.
   Version version{};
-  // Per-key detail of a batched (kMultiGet / kMultiPut) result, parallel to the
-  // request's key order. The joined `found`/`version` above lose which key missed and
-  // which version belongs to whom; responders that know fill these so fan-out and cache
-  // refresh can be exact per key. Empty when unavailable (e.g. legacy responders) —
-  // consumers then fall back to the joined fields.
-  std::vector<bool> key_found;
-  std::vector<Version> key_versions;
+  // Per-key results of a kMultiGet / kMultiPut, one per requested key in request order;
+  // empty for every other operation. A read's entry is what a lone kGet of its key
+  // returns ({found, value, version}); a write's entry acknowledges that write
+  // ({found: true, version}). Values may hold any byte. Build with BatchResult.
+  std::vector<OpResult> entries;
 
   friend bool operator==(const OpResult&, const OpResult&) = default;
 
-  // Approximate wire size of a response carrying this result.
+  // Approximate wire size of a response carrying this result: the header plus the
+  // payload. A batched payload is the entries' values with one separator byte between
+  // consecutive entries.
   int64_t WireBytes() const;
 
   std::string ToString() const;
 };
 
+// The one constructor of a batched result: `found` = every entry found (true for no
+// entries), `seqno` = the number of entries found, `version` = the freshest entry's.
+OpResult BatchResult(std::vector<OpResult> entries);
+
 // Builds a batched read result from per-key lookups, the one definition shared by every
-// multi-key responder (stores, client cache): payloads joined in key order, `found` =
-// every key found, `seqno` = keys found, `version` = freshest, and the per-key
-// found/version detail filled in. `lookup` returns nullopt for a missing key.
-OpResult JoinMultiLookup(
-    const std::vector<std::string>& keys,
-    const std::function<std::optional<OpResult>(const std::string&)>& lookup);
+// multi-key responder (stores, client cache). `lookup` returns nullopt for a missing key.
+OpResult MultiLookup(const std::vector<std::string>& keys,
+                     const std::function<std::optional<OpResult>(const std::string&)>& lookup);
 
 // Wire-size constants shared by the simulated protocols. The paper reports ~270 B for a
 // ZooKeeper enqueue request+response pair and ~130 B for the extra preliminary response;

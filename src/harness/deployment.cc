@@ -156,9 +156,7 @@ void ShardedCassandraStack::SetShardQueueLimit(size_t limit) {
 
 void ShardedCassandraStack::SetBatchWindow(SimDuration window) {
   for (const auto& endpoint : endpoints_) {
-    BatchConfig config = endpoint->client->batch_config();
-    config.batch_window = window;
-    endpoint->client->SetBatchConfig(config);
+    endpoint->client->SetBatchConfig(BatchConfig{window});
   }
 }
 

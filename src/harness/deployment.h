@@ -149,10 +149,10 @@ class ShardedCassandraStack {
   // unlimited); shed work fails with a retryable OVERLOADED status.
   void SetShardQueueLimit(size_t limit);
   size_t shard_queue_limit() const { return queue_limit_; }
-  // Applies `window` to every endpoint's client (each keeps its own max_batch_ops),
-  // re-arming pending cohorts through BatchScheduler::SetConfig — safe on a running
-  // stack; under a LoopGroup call between rounds (driver thread), like the membership
-  // changes. The orchestrator's batch-window actuator.
+  // Applies `window` to every endpoint's client, re-arming pending cohorts through
+  // BatchScheduler::SetConfig — safe on a running stack; under a LoopGroup call between
+  // rounds (driver thread), like the membership changes. The orchestrator's batch-window
+  // actuator.
   void SetBatchWindow(SimDuration window);
   SimDuration batch_window() const { return client()->batch_config().batch_window; }
 

@@ -185,7 +185,7 @@ void KvReplica::FinishRead(PendingRead& read) {
   read.done = true;
   const std::optional<VersionedValue> merged = MergedResult(read);
 
-  if (config_->read_repair && merged.has_value()) {
+  if (merged.has_value()) {
     IssueReadRepair(read, *merged);
   }
 
@@ -277,31 +277,12 @@ void KvReplica::IssueReadRepair(const PendingRead& read, const VersionedValue& f
 }
 
 OpResult KvReplica::ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values) {
-  OpResult result;
-  result.found = !values.empty();
-  result.key_found.reserve(values.size());
-  result.key_versions.reserve(values.size());
-  int64_t found_count = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      result.value += kMultiValueSeparator;
-    }
-    if (values[i].has_value()) {
-      result.value += values[i]->value;
-      found_count++;
-      result.key_found.push_back(true);
-      result.key_versions.push_back(values[i]->version);
-      if (result.version < values[i]->version) {
-        result.version = values[i]->version;
-      }
-    } else {
-      result.found = false;
-      result.key_found.push_back(false);
-      result.key_versions.push_back(Version{});
-    }
+  std::vector<OpResult> entries;
+  entries.reserve(values.size());
+  for (const auto& value : values) {
+    entries.push_back(ToOpResult(value));
   }
-  result.seqno = found_count;
-  return result;
+  return BatchResult(std::move(entries));
 }
 
 Digest KvReplica::CombinedDigest(const std::vector<std::optional<VersionedValue>>& values) {
@@ -461,14 +442,12 @@ void KvReplica::FinishMultiRead(PendingMultiRead& read) {
   // Per-key read repair of the coordinator's own copy only: ApplyLww brings each stale
   // local entry up to the merged state. Stale peers are not repaired here, unlike the
   // single-key path (IssueReadRepair).
-  if (config_->read_repair) {
-    for (size_t i = 0; i < merged.size(); ++i) {
-      if (!merged[i].has_value()) {
-        continue;
-      }
-      if (ApplyLww(read.keys[i], *merged[i], /*log=*/true)) {
-        metrics_.GetCounter("read_repairs").Increment();
-      }
+  for (size_t i = 0; i < merged.size(); ++i) {
+    if (!merged[i].has_value()) {
+      continue;
+    }
+    if (ApplyLww(read.keys[i], *merged[i], /*log=*/true)) {
+      metrics_.GetCounter("read_repairs").Increment();
     }
   }
 
@@ -616,10 +595,7 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
   service_.Submit(service, [this, client_id, keys = std::move(keys),
                             values = std::move(values), timestamps = std::move(timestamps),
                             respond = std::move(respond)]() mutable {
-    OpResult ack;
-    ack.found = true;
-    ack.seqno = static_cast<int64_t>(keys.size());
-    ack.key_found.assign(keys.size(), true);
+    std::vector<OpResult> acked(keys.size());
     std::vector<VersionedValue> applied(keys.size());
     uint64_t cohort_lsn = 0;
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -628,8 +604,8 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
                              static_cast<uint64_t>(stamp)});
       const Version version = stamp != 0 ? Version{stamp, client_id}
                                          : Version{static_cast<SimTime>(write_seq_), id_};
-      ack.version = version;
-      ack.key_versions.push_back(version);
+      acked[i].found = true;
+      acked[i].version = version;
       VersionedValue vv{std::move(values[i]), version};
 
       const auto [stored, inserted] = storage_.TryEmplace(keys[i]);
@@ -646,7 +622,8 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
     MaybeScheduleSnapshot();
 
     auto finish = [this, client_id, keys = std::move(keys), applied = std::move(applied),
-                   ack = std::move(ack), cohort_lsn, respond = std::move(respond)]() {
+                   ack = BatchResult(std::move(acked)), cohort_lsn,
+                   respond = std::move(respond)]() {
       // The cohort's fan-out makes every record of the batch cluster-visible.
       replicated_lsn_ = std::max(replicated_lsn_, cohort_lsn);
       for (size_t i = 0; i < keys.size(); ++i) {

@@ -63,8 +63,6 @@ struct KvConfig {
   // Coordinator waits this long for quorum responses before failing the read.
   SimDuration read_timeout = Millis(2000);
 
-  bool read_repair = true;
-
   // --- Durability (per-replica WAL + snapshots) ---------------------------------------
   // The defaults keep the pre-durability event timeline bit-for-bit: appends are pure
   // in-memory bookkeeping (no events, no service time) and snapshots never trigger.
@@ -166,8 +164,8 @@ class KvReplica {
   void CoordinateRead(NodeId client_id, const std::string& key, const ReadOptions& options,
                       KvResponseFn respond);
   // Batched read of several keys in one request (Cassandra multiget): same quorum/ICG
-  // semantics as CoordinateRead, applied to the whole batch. The result value joins the
-  // per-key payloads with kMultiValueSeparator.
+  // semantics as CoordinateRead, applied to the whole batch. The result carries one
+  // entry per key, in request order.
   void CoordinateMultiRead(NodeId client_id, std::vector<std::string> keys,
                            const ReadOptions& options, KvResponseFn respond);
   // `timestamp` != 0 is a client-assigned LWW stamp: the version becomes
@@ -180,8 +178,8 @@ class KvReplica {
   // Batched write submission (cross-tick write batching): the entries apply locally in
   // vector order — writes to the same key keep their program order — each under its own
   // strictly increasing LWW version, then replicate asynchronously like single writes.
-  // One acknowledgement covers the whole batch (W = 1 semantics; `seqno` = batch size,
-  // `version` = the last version assigned). `timestamps` (when non-empty) carries the
+  // One acknowledgement covers the whole batch (W = 1 semantics): one entry per write,
+  // carrying the version it was applied under. `timestamps` (when non-empty) carries the
   // per-entry client stamps, parallel to `keys`.
   void CoordinateMultiWrite(NodeId client_id, std::vector<std::string> keys,
                             std::vector<std::string> values, KvResponseFn respond,

@@ -128,21 +128,18 @@ void Network::Send(NodeId from, NodeId to, int64_t bytes, EventLoop::Task on_del
   // The send happens "now" on the sender's loop — mid-round, different loops sit at
   // different instants within the same quantum, and the sender's clock is the
   // deterministic one for this call.
-  EventLoop* from_loop = group_ == nullptr ? loop_ : &group_->loop(SlotOf(from));
+  EventLoop* from_loop = LoopFor(from);
   // FIFO link: never deliver before an earlier message on the same directed link.
   SimTime deliver_at = from_loop->Now() + SampleDelay(from, to);
   SimTime& last = shard.last_delivery[{from, to}];
   deliver_at = std::max(deliver_at, last);
   last = deliver_at;
 
-  if (group_ == nullptr) {
-    loop_->ScheduleAt(deliver_at, std::move(on_delivery));
-    return;
-  }
   const int to_slot = SlotOf(to);
   if (to_slot == SlotOf(from)) {
-    // Same-loop fast path: the caller is (or may safely act as) this loop's driver.
-    group_->loop(to_slot).ScheduleAt(deliver_at, std::move(on_delivery));
+    // Same-loop fast path (every send of an unbound network, whose nodes all sit on slot
+    // 0): the caller is (or may safely act as) this loop's driver.
+    from_loop->ScheduleAt(deliver_at, std::move(on_delivery));
   } else {
     // Cross-loop: route through the group channel; delivered at the next barrier at
     // max(deliver_at, barrier) — the quantum bounds the extra latency.

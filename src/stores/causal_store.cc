@@ -37,7 +37,7 @@ void CausalReplica::HandleMultiRead(NodeId client_id, std::vector<std::string> k
   service_.Submit(service, [this, client_id, keys = std::move(keys),
                             respond = std::move(respond)]() {
     const OpResult result =
-        JoinMultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
+        MultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
           auto it = storage_.find(key);
           if (it == storage_.end()) {
             return std::nullopt;
@@ -102,15 +102,13 @@ void CausalReplica::HandleMultiWrite(NodeId client_id, std::vector<std::string> 
                             values = std::move(values), respond = std::move(respond)]() mutable {
     // Entries apply in vector order: each write's dependency snapshot includes its batch
     // predecessors, so remote replicas preserve the batch's internal program order too.
-    OpResult ack;
-    ack.found = true;
-    ack.key_found.assign(keys.size(), true);
+    std::vector<OpResult> acked(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      ack.version = ApplyLocalWrite(keys[i], values[i]);
-      ack.key_versions.push_back(ack.version);
+      acked[i].found = true;
+      acked[i].version = ApplyLocalWrite(keys[i], values[i]);
     }
-    ack.seqno = static_cast<int64_t>(keys.size());
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
+    network_->Send(id_, client_id, kResponseHeaderBytes,
+                   [respond, ack = BatchResult(std::move(acked))]() { respond(ack); });
   });
 }
 

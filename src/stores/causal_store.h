@@ -46,7 +46,7 @@ class CausalReplica {
   void SetOriginIndex(int index, int num_replicas);
 
   void HandleRead(NodeId client_id, const std::string& key, CausalResponseFn respond);
-  // Batched read: one request, one response joining per-key payloads in request order.
+  // Batched read: one request, one response with one entry per key in request order.
   void HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
                        CausalResponseFn respond);
   void HandleWrite(NodeId client_id, const std::string& key, std::string value,

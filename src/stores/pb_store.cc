@@ -29,7 +29,7 @@ void PbNode::HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
   service_.Submit(service, [this, client_id, keys = std::move(keys),
                             respond = std::move(respond)]() {
     const OpResult result =
-        JoinMultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
+        MultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
           auto it = storage_.find(key);
           if (it == storage_.end()) {
             return std::nullopt;
@@ -80,15 +80,12 @@ void PbNode::HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
       static_cast<SimDuration>(keys.size() - 1) * config_->multi_per_key_service;
   service_.Submit(service, [this, client_id, keys = std::move(keys),
                             values = std::move(values), respond = std::move(respond)]() mutable {
-    OpResult ack;
-    ack.found = true;
-    ack.seqno = static_cast<int64_t>(keys.size());
-    ack.key_found.assign(keys.size(), true);
+    std::vector<OpResult> acked(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       write_seq_ = std::max(static_cast<uint64_t>(network_->loop()->Now()), write_seq_ + 1);
       const Version version{static_cast<SimTime>(write_seq_), id_};
-      ack.version = version;
-      ack.key_versions.push_back(version);
+      acked[i].found = true;
+      acked[i].version = version;
       storage_[keys[i]] = Entry{values[i], version};
       for (PbNode* backup : backups_) {
         const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(keys[i].size()) +
@@ -99,7 +96,8 @@ void PbNode::HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
                        });
       }
     }
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
+    network_->Send(id_, client_id, kResponseHeaderBytes,
+                   [respond, ack = BatchResult(std::move(acked))]() { respond(ack); });
   });
 }
 

@@ -44,8 +44,8 @@ class PbNode {
   void SetBackups(std::vector<PbNode*> backups) { backups_ = std::move(backups); }
 
   void HandleRead(NodeId client_id, const std::string& key, PbResponseFn respond);
-  // Batched read: one request, one response joining per-key payloads in request order
-  // (kMultiValueSeparator wire format; `found` = every key found, `seqno` = keys found).
+  // Batched read: one request, one response with one entry per key in request order
+  // (see BatchResult).
   void HandleMultiRead(NodeId client_id, std::vector<std::string> keys, PbResponseFn respond);
   // Primary only: apply, ack, propagate.
   void HandleWrite(NodeId client_id, const std::string& key, std::string value,

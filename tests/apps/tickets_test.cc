@@ -82,7 +82,8 @@ TEST_F(TicketsTest, ExactlyStockTicketsSoldUnderContention) {
   for (auto& seller : sellers) {
     auto next = std::make_shared<std::function<void()>>();
     TicketSeller* s = seller.get();
-    *next = [s, next, &sold, &duplicates]() {
+    // `loops` owns each seller's loop; a closure holding its own shared_ptr would leak.
+    *next = [s, next = next.get(), &sold, &duplicates]() {
       s->PurchaseTicket([next, &sold, &duplicates](PurchaseOutcome o) {
         if (o.purchased) {
           if (!sold.insert(o.ticket_seq).second) {
@@ -111,16 +112,16 @@ TEST_F(TicketsTest, ThresholdBoundaryRespected) {
   stack_->cluster->PreloadQueue("show", 30, "t");
   TicketSeller seller(stack_->client.get(), Config(30, 25));
   std::vector<bool> fast;
-  auto next = std::make_shared<std::function<void()>>();
-  *next = [&, next]() {
-    seller.PurchaseTicket([&, next](PurchaseOutcome o) {
+  std::function<void()> next;
+  next = [&]() {
+    seller.PurchaseTicket([&](PurchaseOutcome o) {
       if (o.purchased) {
         fast.push_back(o.via_preliminary);
-        (*next)();
+        next();
       }
     });
   };
-  (*next)();
+  next();
   world_.loop().Run();
   ASSERT_EQ(fast.size(), 30u);
   // Tickets 0..3 leave >25 remaining; from ticket 4 on, the seller waits for finals.

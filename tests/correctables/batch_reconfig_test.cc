@@ -2,7 +2,7 @@
 // the new window without dropping or double-flushing a single waiter. This is the
 // safety contract the orchestrator's widen/shrink actuator leans on — it reconfigures
 // live pipelines with cohorts mid-window, so every edge (shrink past the deadline,
-// shrink-to-0, widen, cap shrink) has to flush exactly once.
+// shrink-to-0, widen) has to flush exactly once.
 #include "src/correctables/batch_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -64,13 +64,13 @@ TEST(BatchReconfig, ShrinkMidCohortReArmsFromTheOriginalOpenTime) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{/*batch_window=*/Millis(20), /*max_batch_ops=*/128});
+  scheduler.SetConfig(BatchConfig{/*batch_window=*/Millis(20)});
 
   loop.Schedule(0, [&] { AdmitGets(scheduler, 3, "k"); });
   // At t=2ms, shrink 20ms -> 5ms: the cohort opened at t=0, so its new deadline is
   // t=5ms — NOT 2ms+5ms=7ms, and certainly not the original 20ms.
   loop.Schedule(Millis(2), [&] {
-    scheduler.SetConfig(BatchConfig{Millis(5), 128});
+    scheduler.SetConfig(BatchConfig{Millis(5)});
   });
   loop.RunUntil(Millis(30));
 
@@ -84,7 +84,7 @@ TEST(BatchReconfig, ShrinkToZeroFlushesPendingCohortsSynchronously) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(20), 128});
+  scheduler.SetConfig(BatchConfig{Millis(20)});
 
   loop.Schedule(0, [&] {
     AdmitGets(scheduler, 4, "r");
@@ -94,7 +94,7 @@ TEST(BatchReconfig, ShrinkToZeroFlushesPendingCohortsSynchronously) {
   loop.Schedule(Millis(3), [&] {
     // Window collapses to 0 with two cohorts (reads + writes) mid-window: both must
     // flush inside this SetConfig call, not at some later timer.
-    scheduler.SetConfig(BatchConfig{0, 128});
+    scheduler.SetConfig(BatchConfig{0});
     EXPECT_EQ(scheduler.pending_cohorts(), 0u);
     EXPECT_EQ(recorder.TotalOps(), 5u);
   });
@@ -110,12 +110,12 @@ TEST(BatchReconfig, ShrinkPastTheDeadlineFlushesImmediately) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(20), 128});
+  scheduler.SetConfig(BatchConfig{Millis(20)});
 
   loop.Schedule(0, [&] { AdmitGets(scheduler, 2, "k"); });
   // At t=8ms, shrink to 5ms: the re-derived deadline (opened + 5ms = 5ms) is already
   // in the past, so the cohort flushes synchronously rather than waiting or dying.
-  loop.Schedule(Millis(8), [&] { scheduler.SetConfig(BatchConfig{Millis(5), 128}); });
+  loop.Schedule(Millis(8), [&] { scheduler.SetConfig(BatchConfig{Millis(5)}); });
   loop.RunUntil(Millis(30));
 
   ASSERT_EQ(recorder.flushed.size(), 1u);
@@ -127,13 +127,13 @@ TEST(BatchReconfig, WidenMidCohortExtendsTheDeadline) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(1), 128});
+  scheduler.SetConfig(BatchConfig{Millis(1)});
 
   loop.Schedule(0, [&] {
     AdmitGets(scheduler, 2, "k");
     // Widen 1ms -> 20ms in the same tick the cohort opened: the old 1ms timer must be
     // cancelled (no early flush) and the cohort holds until opened + 20ms.
-    scheduler.SetConfig(BatchConfig{Millis(20), 128});
+    scheduler.SetConfig(BatchConfig{Millis(20)});
   });
   loop.Schedule(Millis(10), [&] { AdmitGets(scheduler, 1, "late"); });
   loop.RunUntil(Millis(40));
@@ -143,30 +143,31 @@ TEST(BatchReconfig, WidenMidCohortExtendsTheDeadline) {
   EXPECT_EQ(recorder.flushed[0].cohort.ops.size(), 3u);  // the late admission rode along
 }
 
-TEST(BatchReconfig, ShrinkingTheOpsCapFlushesOversizedCohorts) {
+TEST(BatchReconfig, FullCohortFlushesAtTheCap) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(20), 128});
+  scheduler.SetConfig(BatchConfig{Millis(5)});
 
-  loop.Schedule(0, [&] { AdmitGets(scheduler, 6, "k"); });
-  loop.Schedule(Millis(2), [&] {
-    // Same window, tighter cap: a pending cohort already at/over the new cap must not
-    // sit out the rest of the window holding more ops than the cap allows.
-    scheduler.SetConfig(BatchConfig{Millis(20), /*max_batch_ops=*/4});
+  // The admission that fills a cohort flushes it synchronously; the next one opens a
+  // fresh cohort that waits out its own window.
+  loop.Schedule(0, [&] {
+    AdmitGets(scheduler, static_cast<int>(BatchScheduler::kMaxBatchOps) + 1, "k");
   });
-  loop.RunUntil(Millis(40));
+  loop.RunUntil(Millis(30));
 
-  ASSERT_EQ(recorder.flushed.size(), 1u);
-  EXPECT_EQ(recorder.flushed[0].at, Millis(2));
-  EXPECT_EQ(recorder.flushed[0].cohort.ops.size(), 6u);
+  ASSERT_EQ(recorder.flushed.size(), 2u);
+  EXPECT_EQ(recorder.flushed[0].at, 0);
+  EXPECT_EQ(recorder.flushed[0].cohort.ops.size(), BatchScheduler::kMaxBatchOps);
+  EXPECT_EQ(recorder.flushed[1].at, Millis(5));
+  EXPECT_EQ(recorder.flushed[1].cohort.ops.size(), 1u);
 }
 
 TEST(BatchReconfig, RepeatedReconfigurationNeverDropsOrDuplicatesWaiters) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(10), 128});
+  scheduler.SetConfig(BatchConfig{Millis(10)});
 
   // A churn storm: admissions interleaved with widens and shrinks every millisecond.
   // Whatever the timers did, exactly the 12 admitted ops come out exactly once.
@@ -177,7 +178,7 @@ TEST(BatchReconfig, RepeatedReconfigurationNeverDropsOrDuplicatesWaiters) {
       AdmitGets(scheduler, 2, "t" + std::to_string(t) + "-");
     });
     loop.Schedule(Millis(t) + 500, [&scheduler, &windows, t] {
-      scheduler.SetConfig(BatchConfig{windows[static_cast<size_t>(t)], 128});
+      scheduler.SetConfig(BatchConfig{windows[static_cast<size_t>(t)]});
     });
   }
   loop.RunUntil(Millis(100));
@@ -191,9 +192,9 @@ TEST(BatchReconfig, SetConfigWithNoPendingCohortsOnlyChangesFutureAdmissions) {
   EventLoop loop;
   Recorder recorder(&loop);
   BatchScheduler scheduler(&loop, recorder.Fn());
-  scheduler.SetConfig(BatchConfig{Millis(5), 128});
+  scheduler.SetConfig(BatchConfig{Millis(5)});
   EXPECT_TRUE(scheduler.enabled());
-  scheduler.SetConfig(BatchConfig{0, 128});
+  scheduler.SetConfig(BatchConfig{0});
   EXPECT_FALSE(scheduler.enabled());
   EXPECT_EQ(recorder.flushed.size(), 0u);
 }

@@ -15,8 +15,8 @@
 namespace icg {
 namespace {
 
-// A synchronous shard binding: gets answer "<name>/<key>", multigets join
-// "<name>/<key>" per key, puts acknowledge. When `confirm_finals` is set, the strong
+// A synchronous shard binding: gets answer "<name>/<key>", multigets answer one
+// "<name>/<key>" entry per key, puts acknowledge. When `confirm_finals` is set, the strong
 // final of a multi-level read arrives as a §5.2 digest confirmation instead of a value.
 class FakeShardBinding : public Binding {
  public:
@@ -31,6 +31,7 @@ class FakeShardBinding : public Binding {
   bool SupportsBatchedWrites() const override { return supports_batched; }
 
   bool supports_batched = true;
+  bool omit_entries = false;  // multigets answer without their per-key entries
   int plans = 0;
   Status fail_final = Status::Ok();  // non-OK: the strong view reports this error
   std::vector<Operation> planned_ops;  // every operation this shard was asked to serve
@@ -43,26 +44,30 @@ class FakeShardBinding : public Binding {
       // Batched write: acknowledge the whole batch once at the strongest level.
       plan.AddStep(levels.strongest(), [this, level = levels.strongest()](
                                            const Operation& puts, LevelEmitter emit) {
-        OpResult ack;
-        ack.found = true;
-        ack.seqno = static_cast<int64_t>(puts.keys.size());
-        emit(level, fail_final.ok() ? StatusOr<OpResult>(ack) : StatusOr<OpResult>(fail_final));
+        std::vector<OpResult> acked(puts.keys.size());
+        for (OpResult& entry : acked) {
+          entry.found = true;
+        }
+        emit(level, fail_final.ok() ? StatusOr<OpResult>(BatchResult(std::move(acked)))
+                                    : StatusOr<OpResult>(fail_final));
       });
       return plan;
     }
     plan.AddSpan(levels.levels(), [this, levels](const Operation& o, LevelEmitter emit) {
       const bool multi_level = !levels.single();
       OpResult result;
-      result.found = true;
       if (o.type == OpType::kMultiGet) {
-        result.seqno = static_cast<int64_t>(o.keys.size());
+        std::vector<OpResult> entries(o.keys.size());
         for (size_t i = 0; i < o.keys.size(); ++i) {
-          if (i > 0) {
-            result.value += kMultiValueSeparator;
-          }
-          result.value += name_ + "/" + o.keys[i];
+          entries[i].found = true;
+          entries[i].value = name_ + "/" + o.keys[i];
+        }
+        result = BatchResult(std::move(entries));
+        if (omit_entries) {
+          result.entries.clear();
         }
       } else {
+        result.found = true;
         result.value = name_ + "/" + o.key;
       }
       if (multi_level) {
@@ -91,15 +96,13 @@ ShardFn SuffixShardFn(size_t n) {
   };
 }
 
-std::string Joined(std::initializer_list<std::string> parts) {
-  std::string out;
-  for (const auto& part : parts) {
-    if (!out.empty()) {
-      out += kMultiValueSeparator;
-    }
-    out += part;
+// The entry values of a batched result, in request order.
+std::vector<std::string> EntryValues(const OpResult& result) {
+  std::vector<std::string> values;
+  for (const OpResult& entry : result.entries) {
+    values.push_back(entry.value);
   }
-  return out;
+  return values;
 }
 
 struct RouterFixture {
@@ -148,7 +151,8 @@ TEST(BindingRouter, CoalescingScopeNamesEpochAndShard) {
 TEST(BindingRouter, SingleShardMultigetDelegatesWholesale) {
   RouterFixture f;
   auto c = f.client.InvokeStrong(Operation::MultiGet({"k0", "k2", "k4"}));
-  EXPECT_EQ(c.Final().value().value, Joined({"s0/k0", "s0/k2", "s0/k4"}));
+  EXPECT_EQ(EntryValues(c.Final().value()),
+            (std::vector<std::string>{"s0/k0", "s0/k2", "s0/k4"}));
   EXPECT_EQ(f.s0->plans, 1);
   EXPECT_EQ(f.s1->plans, 0);  // never consulted
 }
@@ -159,7 +163,8 @@ TEST(BindingRouter, CrossShardMultigetMergesInRequestOrder) {
   ASSERT_EQ(c.state(), CorrectableState::kFinal);
   // Positions interleave shards; the merged payload must follow the request order, not
   // per-shard grouping.
-  EXPECT_EQ(c.Final().value().value, Joined({"s1/k1", "s0/k0", "s1/k3", "s0/k2"}));
+  EXPECT_EQ(EntryValues(c.Final().value()),
+            (std::vector<std::string>{"s1/k1", "s0/k0", "s1/k3", "s0/k2"}));
   EXPECT_EQ(c.Final().value().seqno, 4);
   EXPECT_TRUE(c.Final().value().found);
   // Full incremental sequence: one merged preliminary, one merged final.
@@ -190,7 +195,7 @@ TEST(BindingRouter, AllShardsConfirmingYieldsMergedConfirmation) {
   ASSERT_EQ(c.state(), CorrectableState::kFinal);
   // Confirmation close: the final view carries the preliminary's merged value.
   EXPECT_TRUE(c.LatestView().confirmed_preliminary);
-  EXPECT_EQ(c.Final().value().value, Joined({"s0/k0", "s1/k1"}));
+  EXPECT_EQ(EntryValues(c.Final().value()), (std::vector<std::string>{"s0/k0", "s1/k1"}));
   EXPECT_EQ(client.stats().confirmations, 1);
 }
 
@@ -206,7 +211,7 @@ TEST(BindingRouter, MixedConfirmationReconstructsConfirmedShardsValue) {
   // s0 confirmed (value reconstructed from its preliminary), s1 sent a full final: the
   // merged final is a full value, not a confirmation.
   EXPECT_FALSE(c.LatestView().confirmed_preliminary);
-  EXPECT_EQ(c.Final().value().value, Joined({"s0/k0", "s1/k1"}));
+  EXPECT_EQ(EntryValues(c.Final().value()), (std::vector<std::string>{"s0/k0", "s1/k1"}));
 }
 
 TEST(BindingRouter, ShardFinalErrorFailsTheMergedFinal) {
@@ -217,6 +222,15 @@ TEST(BindingRouter, ShardFinalErrorFailsTheMergedFinal) {
   EXPECT_EQ(c.error().code(), StatusCode::kUnavailable);
   // The merged preliminary still got through before the final failed.
   EXPECT_EQ(c.views_delivered(), 1);
+
+  // A shard answering without one entry per key fails too, whether it served the whole
+  // multiget or one slice of a scatter-gather.
+  f.s1->fail_final = Status::Ok();
+  f.s0->omit_entries = true;
+  auto whole = f.client.InvokeStrong(Operation::MultiGet({"k0", "k2"}));
+  auto slice = f.client.InvokeStrong(Operation::MultiGet({"k0", "k1"}));
+  EXPECT_EQ(whole.error().code(), StatusCode::kInternal);
+  EXPECT_EQ(slice.error().code(), StatusCode::kInternal);
 }
 
 TEST(BindingRouter, EmptyMultigetRejected) {

@@ -342,6 +342,31 @@ TEST(BatchOracle, EmptyValuesAndMissesSurviveBatchedFanout) {
   EXPECT_EQ(full.Final().value().value, "payload");
 }
 
+// Values may hold any byte, 0x1E (ASCII record separator) included: a batched read must
+// hand each waiter its own value intact, whatever its neighbours hold.
+TEST(BatchOracle, SeparatorByteSurvivesBatchedFanout) {
+  SimWorld world(5, 0.0);
+  BatchConfig batch;
+  batch.batch_window = Millis(5);
+  auto stack = MakeCassandraStack(world, KvConfig{}, CassandraBindingConfig{},
+                                  Region::kIreland, Region::kFrankfurt,
+                                  {Region::kFrankfurt, Region::kIreland, Region::kVirginia},
+                                  batch);
+  const std::string tricky = std::string("x") + '\x1e' + "y";
+  stack.cluster->Preload("a", tricky);
+  stack.cluster->Preload("b", "z");
+
+  auto a = stack.client->InvokeStrong(Operation::Get("a"));
+  auto b = stack.client->InvokeStrong(Operation::Get("b"));
+  world.loop().Run();
+
+  ASSERT_EQ(stack.client->stats().cross_tick_batches, 1);  // both shared one flush
+  ASSERT_EQ(a.state(), CorrectableState::kFinal);
+  EXPECT_EQ(a.Final().value().value, tricky);
+  ASSERT_EQ(b.state(), CorrectableState::kFinal);
+  EXPECT_EQ(b.Final().value().value, "z");
+}
+
 TEST(BatchOracle, BatchedCacheRefreshKeepsPerKeyVersions) {
   SimWorld world(6, 0.0);
   BatchConfig batch;

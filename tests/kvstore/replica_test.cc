@@ -117,15 +117,6 @@ TEST_F(ReplicaTest, ReadRepairUpdatesCoordinator) {
   EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->LocalGet("k")->value, "fresh");
 }
 
-TEST_F(ReplicaTest, ReadRepairDisabledLeavesStaleCopy) {
-  config_.read_repair = false;
-  cluster_.Preload("k", "stale");
-  cluster_.ReplicaIn(Region::kIreland)->LocalPut("k", "fresh", Version{999, 1});
-  Read("k", 2);
-  loop_.RunFor(Seconds(1));
-  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->LocalGet("k")->value, "stale");
-}
-
 TEST_F(ReplicaTest, IcgReadDeliversPreliminaryBeforeFinal) {
   cluster_.Preload("k", "v");
   ReadOptions options;
@@ -220,7 +211,9 @@ TEST_F(ReplicaTest, MultiReadReturnsJoinedValues) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->found);
   EXPECT_EQ(out->seqno, 2);  // both found
-  EXPECT_EQ(out->value, std::string("va") + kMultiValueSeparator + "vb");
+  ASSERT_EQ(out->entries.size(), 2u);
+  EXPECT_EQ(out->entries[0].value, "va");
+  EXPECT_EQ(out->entries[1].value, "vb");
 }
 
 TEST_F(ReplicaTest, MultiReadMissingKeyClearsFound) {
@@ -256,7 +249,9 @@ TEST_F(ReplicaTest, MultiReadMergesPerKeyAcrossReplicas) {
                      });
   loop_.Run();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->value, std::string("fresh-a") + kMultiValueSeparator + "fresh-b");
+  ASSERT_EQ(out->entries.size(), 2u);
+  EXPECT_EQ(out->entries[0].value, "fresh-a");
+  EXPECT_EQ(out->entries[1].value, "fresh-b");
 }
 
 TEST_F(ReplicaTest, MultiReadIcgConfirmation) {
