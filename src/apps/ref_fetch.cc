@@ -36,10 +36,11 @@ std::string RefFetcher::JoinRefs(const std::vector<int64_t>& refs) {
 }
 
 Correctable<OpResult> RefFetcher::FetchObjects(const OpResult& refs) {
-  if (!refs.found || refs.value.empty()) {
+  const std::vector<int64_t> ids = refs.found ? ParseRefs(refs.value) : std::vector<int64_t>{};
+  if (ids.empty()) {
+    // Nothing referenced (an absent, empty or id-less list such as ","): no multiget.
     return Correctable<OpResult>::FromValue(OpResult{});
   }
-  const std::vector<int64_t> ids = ParseRefs(refs.value);
   std::vector<std::string> keys;
   keys.reserve(ids.size());
   for (const int64_t id : ids) {

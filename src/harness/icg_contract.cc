@@ -240,7 +240,7 @@ void IcgContractChecker::CheckReplicas(const KvCluster& cluster) {
         FlagKey(Violation::kReplicaDiverged, key,
                 name + (stored.has_value() ? " disagrees with its peers" : " lacks the key"));
       } else if (last.finals > 0 && stored->value != last.written_value) {
-        FlagKey(Violation::kReplicaDiverged, key, name + " holds " + stored->value);
+        FlagKey(Violation::kReplicaDiverged, key, name + " holds " + stored->value.str());
       }
     }
   }

@@ -116,11 +116,15 @@ std::unique_ptr<KvClient> KvCluster::MakeClient(Region client_region, Region coo
 
 void KvCluster::Preload(const std::string& key, const std::string& value) {
   // Version {1, primary} predates any runtime write (runtime timestamps are virtual
-  // times >= startup), so preloaded data loses LWW ties to every real write.
+  // times >= startup), so preloaded data loses LWW ties to every real write. Every
+  // replica shares one buffer, and the last takes the handle itself: each copy is an
+  // atomic increment, a full barrier on x86, and a preload makes one per key and replica.
   const Version version{1, partitioner_->PrimaryFor(key)};
-  for (auto& replica : replicas_) {
-    replica->LocalPut(key, value, version);
+  ValueRef shared(value);
+  for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
+    replicas_[i]->LocalPut(key, shared, version);
   }
+  replicas_.back()->LocalPut(key, std::move(shared), version);
 }
 
 }  // namespace icg

@@ -12,6 +12,15 @@
 // of the replica's history. The hash only places index slots; every walk over the store
 // (snapshots, bootstrap dumps, recovery) follows the entry vector, so no output depends
 // on the hash function.
+//
+// FindMany looks up a batch of keys at once. A lookup over a store much larger than the
+// CPU caches is a chain of three dependent misses (index slot -> entry -> value bytes),
+// so looking keys up one by one pays the chains back to back. FindMany runs each group
+// of keys through three stages instead: hash every key and prefetch its home slot; walk
+// each probe run's tags (the slot lines are warm by now) and prefetch the entry of the
+// first tag match; then finish each probe exactly as Find does and prefetch the value's
+// bytes. Each stage issues all of its group's loads before the next stage waits on
+// them, so the misses of a whole group overlap.
 #ifndef ICG_KVSTORE_KV_STORE_H_
 #define ICG_KVSTORE_KV_STORE_H_
 
@@ -20,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,6 +61,44 @@ class KvStore {
     return const_cast<VersionedValue*>(std::as_const(*this).Find(key));
   }
 
+  // out[i] = Find(keys[i]) for every i, with the cache misses of each group of keys
+  // overlapped (see the file comment). The pointers follow Find's validity rule.
+  // Allocates nothing: each group's hashes live on the stack.
+  void FindMany(std::span<const std::string> keys, std::span<const VersionedValue*> out) const {
+    assert(out.size() == keys.size());
+    const size_t mask = slots_.size() - 1;
+    uint64_t hashes[kFindGroup] = {};
+    for (size_t base = 0; base < keys.size(); base += kFindGroup) {
+      const size_t n = std::min(kFindGroup, keys.size() - base);
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = Hash(keys[base + i]);
+        __builtin_prefetch(&slots_[hashes[i] & mask]);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t tag = hashes[i] >> 32;
+        for (size_t at = hashes[i] & mask; slots_[at] != 0; at = (at + 1) & mask) {
+          if ((slots_[at] >> 32) == tag) {
+            // An entry may straddle two cache lines: warm its first and last byte.
+            const char* entry =
+                reinterpret_cast<const char*>(&entries_[(slots_[at] & kPositionMask) - 1]);
+            __builtin_prefetch(entry);
+            __builtin_prefetch(entry + sizeof(Entry) - 1);
+            break;
+          }
+        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t slot = slots_[Probe(keys[base + i], hashes[i])];
+        const VersionedValue* found =
+            slot == 0 ? nullptr : &entries_[(slot & kPositionMask) - 1].second;
+        out[base + i] = found;
+        if (found != nullptr) {
+          found->value.Prefetch();
+        }
+      }
+    }
+  }
+
   // Finds `key` or appends it with a default VersionedValue; `second` is true when it
   // was inserted. One probe either way. The pointer follows Find's validity rule.
   std::pair<VersionedValue*, bool> TryEmplace(std::string_view key) {
@@ -80,6 +128,9 @@ class KvStore {
  private:
   static constexpr size_t kMinSlots = 16;  // a power of two
   static constexpr uint64_t kPositionMask = 0xffffffffu;
+  // Keys per FindMany group: enough loads in flight to cover a miss, few enough that a
+  // group's prefetched lines are still cached when its last stage reads them.
+  static constexpr size_t kFindGroup = 16;
 
   static uint64_t Hash(std::string_view key) { return std::hash<std::string_view>{}(key); }
 

@@ -50,7 +50,7 @@ OpResult KvReplica::ToOpResult(const std::optional<VersionedValue>& value) {
   OpResult result;
   if (value.has_value()) {
     result.found = true;
-    result.value = value->value;
+    result.value = value->value.str();  // the one copy: the client's result owns its bytes
     result.version = value->version;
   }
   return result;
@@ -297,8 +297,15 @@ Digest KvReplica::CombinedDigest(const std::vector<std::optional<VersionedValue>
 void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> keys,
                                     const ReadOptions& options, KvResponseFn respond) {
   assert(options.read_quorum >= 1);
-  assert(!keys.empty());
   if (crashed_) {
+    return;
+  }
+  metrics_.GetCounter("multireads_coordinated").Increment();
+  if (keys.empty()) {
+    network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
+      respond(Status::InvalidArgument("multiread needs a non-empty key list"),
+              /*is_final=*/true, ResponseKind::kValue);
+    });
     return;
   }
   const uint64_t request_id = next_request_id_++;
@@ -307,9 +314,6 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
   read.keys = std::move(keys);
   read.options = options;
   read.respond = std::move(respond);
-  read.local.assign(read.keys.size(), std::nullopt);
-
-  metrics_.GetCounter("multireads_coordinated").Increment();
   const auto batch_extra =
       config_->multiread_per_key_service * static_cast<SimDuration>(read.keys.size() - 1);
 
@@ -327,9 +331,9 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
         req_bytes += static_cast<int64_t>(key.size()) + 2;
       }
       network_->Send(id_, peer->id(), req_bytes,
-                     [this, peer, request_keys = read.keys, request_id, slot]() {
+                     [this, peer, request_keys = read.keys, request_id, slot]() mutable {
                        peer->HandlePeerMultiRead(
-                           id_, request_keys, request_id,
+                           id_, std::move(request_keys), request_id,
                            [this, slot](uint64_t rid,
                                         std::vector<std::optional<VersionedValue>> values) {
                              auto it = pending_multi_reads_.find(rid);
@@ -354,9 +358,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
       return;
     }
     PendingMultiRead& r = it->second;
-    for (size_t i = 0; i < r.keys.size(); ++i) {
-      r.local[i] = LocalGet(r.keys[i]);
-    }
+    r.local = LocalGetMany(r.keys);
     r.local_done = true;
     r.responses++;
     if (r.options.want_preliminary) {
@@ -418,18 +420,23 @@ void KvReplica::MaybeFinishMultiRead(uint64_t request_id) {
 }
 
 std::vector<std::optional<VersionedValue>> KvReplica::MergedMultiResult(
-    PendingMultiRead& read) {
+    PendingMultiRead& read, std::vector<size_t>* peer_won) {
   std::vector<std::optional<VersionedValue>> merged = std::move(read.local);
-  for (size_t p = 0; p < read.peer_results.size(); ++p) {
-    if (!read.peer_answered[p]) {
-      continue;
-    }
-    for (size_t i = 0; i < merged.size() && i < read.peer_results[p].size(); ++i) {
+  for (size_t i = 0; i < merged.size(); ++i) {
+    bool won = false;
+    for (size_t p = 0; p < read.peer_results.size(); ++p) {
+      if (!read.peer_answered[p] || i >= read.peer_results[p].size()) {
+        continue;
+      }
       const auto& candidate = read.peer_results[p][i];
       if (candidate.has_value() &&
           (!merged[i].has_value() || merged[i]->OlderThan(candidate->version))) {
         merged[i] = candidate;
+        won = true;
       }
+    }
+    if (won) {
+      peer_won->push_back(i);
     }
   }
   return merged;
@@ -437,15 +444,15 @@ std::vector<std::optional<VersionedValue>> KvReplica::MergedMultiResult(
 
 void KvReplica::FinishMultiRead(PendingMultiRead& read) {
   read.done = true;
-  const auto merged = MergedMultiResult(read);
+  std::vector<size_t> peer_won;
+  const auto merged = MergedMultiResult(read, &peer_won);
 
   // Per-key read repair of the coordinator's own copy only: ApplyLww brings each stale
-  // local entry up to the merged state. Stale peers are not repaired here, unlike the
-  // single-key path (IssueReadRepair).
-  for (size_t i = 0; i < merged.size(); ++i) {
-    if (!merged[i].has_value()) {
-      continue;
-    }
+  // local entry up to the merged state. Only a key a peer won can be stale here; for
+  // every other key the merged value is the local copy read earlier, and LWW only moves
+  // forward, so ApplyLww would change nothing. Stale peers are not repaired here, unlike
+  // the single-key path (IssueReadRepair).
+  for (const size_t i : peer_won) {
     if (ApplyLww(read.keys[i], *merged[i], /*log=*/true)) {
       metrics_.GetCounter("read_repairs").Increment();
     }
@@ -483,7 +490,7 @@ void KvReplica::SendMultiReadResponse(const PendingMultiRead& read,
 }
 
 void KvReplica::HandlePeerMultiRead(
-    NodeId requester, const std::vector<std::string>& keys, uint64_t request_id,
+    NodeId requester, std::vector<std::string> keys, uint64_t request_id,
     std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply) {
   if (crashed_) {
     return;
@@ -491,14 +498,13 @@ void KvReplica::HandlePeerMultiRead(
   const auto batch_extra =
       config_->multiread_per_key_service * static_cast<SimDuration>(keys.size() - 1);
   service_.Submit(config_->peer_read_service + batch_extra,
-                  [this, requester, keys, request_id, reply = std::move(reply)]() mutable {
-                    std::vector<std::optional<VersionedValue>> values;
-                    values.reserve(keys.size());
+                  [this, requester, keys = std::move(keys), request_id,
+                   reply = std::move(reply)]() mutable {
+                    std::vector<std::optional<VersionedValue>> values = LocalGetMany(keys);
                     int64_t bytes = kResponseHeaderBytes;
-                    for (const auto& key : keys) {
-                      values.push_back(LocalGet(key));
-                      if (values.back().has_value()) {
-                        bytes += static_cast<int64_t>(values.back()->value.size()) + 8;
+                    for (const auto& value : values) {
+                      if (value.has_value()) {
+                        bytes += static_cast<int64_t>(value->value.size()) + 8;
                       }
                     }
                     network_->Send(id_, requester, bytes,
@@ -526,7 +532,8 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
     const Version version = timestamp != 0
                                 ? Version{timestamp, client_id}
                                 : Version{static_cast<SimTime>(write_seq_), id_};
-    VersionedValue vv{std::move(value), version};
+    // The value's one buffer: the local store and every replication message share it.
+    VersionedValue vv{ValueRef(value), version};
 
     const auto [stored, inserted] = storage_.TryEmplace(key);
     if (inserted || stored->OlderThan(version)) {
@@ -542,7 +549,7 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
     // version above, but the record is logged unconditionally: the ack promises
     // durability of the submission, and replay re-applies under the same LWW rule
     // (idempotent, zero duplication).
-    const uint64_t lsn = wal_.Append(key, vv.value, version);
+    const uint64_t lsn = wal_.Append(key, vv.value.view(), version);
     const SimDuration fsync = wal_.Sync();
     MaybeScheduleSnapshot();
 
@@ -606,13 +613,13 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
                                          : Version{static_cast<SimTime>(write_seq_), id_};
       acked[i].found = true;
       acked[i].version = version;
-      VersionedValue vv{std::move(values[i]), version};
+      VersionedValue vv{ValueRef(values[i]), version};
 
       const auto [stored, inserted] = storage_.TryEmplace(keys[i]);
       if (inserted || stored->OlderThan(version)) {
         *stored = vv;
       }
-      cohort_lsn = wal_.Append(keys[i], vv.value, version);
+      cohort_lsn = wal_.Append(keys[i], vv.value.view(), version);
       applied[i] = std::move(vv);
     }
     // Group commit: the whole cohort shares one fsync, then one ack covers it — either
@@ -720,7 +727,7 @@ bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming,
     // Lazy append: replicated/repaired state is logged but not fsynced — the unsynced
     // tail is recoverable from the peers that sent it, and it is what a torn-tail crash
     // tears. Only coordinated (acked) writes pay for a sync.
-    const uint64_t lsn = wal_.Append(key, incoming.value, incoming.version);
+    const uint64_t lsn = wal_.Append(key, incoming.value.view(), incoming.version);
     // The value came from a cluster-visible source, so a snapshot may cover it at once.
     replicated_lsn_ = std::max(replicated_lsn_, lsn);
     MaybeScheduleSnapshot();
@@ -920,13 +927,26 @@ std::optional<VersionedValue> KvReplica::LocalGet(const std::string& key) const 
   return *vv;
 }
 
-void KvReplica::LocalPut(const std::string& key, std::string value, Version version) {
+std::vector<std::optional<VersionedValue>> KvReplica::LocalGetMany(
+    const std::vector<std::string>& keys) {
+  found_.resize(keys.size());
+  storage_.FindMany(keys, found_);
+  std::vector<std::optional<VersionedValue>> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (found_[i] != nullptr) {
+      values[i] = *found_[i];
+    }
+  }
+  return values;
+}
+
+void KvReplica::LocalPut(const std::string& key, ValueRef value, Version version) {
   VersionedValue* stored = storage_.TryEmplace(key).first;
   *stored = VersionedValue{std::move(value), version};
   // Preloads are part of the durable dataset: log + sync so a crashed replica's
   // recovered state includes them without leaning on the bootstrap. They are applied
   // at every replica by construction, so they are cluster-visible immediately.
-  replicated_lsn_ = std::max(replicated_lsn_, wal_.Append(key, stored->value, version));
+  replicated_lsn_ = std::max(replicated_lsn_, wal_.Append(key, stored->value.view(), version));
   wal_.Sync();
 }
 

@@ -18,9 +18,18 @@
 //
 // Each replica keeps its LWW state in a KvStore (kv_store.h): entries in first-insertion
 // order behind a flat hash index, so a local read probes one or two cache lines of index
-// instead of walking a tree. Snapshots, bootstrap dumps and recovery all walk the store
-// in that insertion order, which is a pure function of the replica's history, never of
-// the hash function.
+// instead of walking a tree. A multiget's local read and its peer reads look their keys
+// up in one KvStore::FindMany, which overlaps the cache misses of every key. Snapshots,
+// bootstrap dumps and recovery all walk the store in that insertion order, which is a
+// pure function of the replica's history, never of the hash function.
+//
+// Values travel by reference (ValueRef, versioned_value.h): an immutable, atomically
+// counted buffer, compared by its bytes. A value becomes a buffer once, where it enters
+// a replica — a coordinated write (one buffer shared by the local store and every
+// replication message), a preload (one buffer for every replica), WAL replay and
+// snapshot load — and becomes bytes again only at the edges: the client's OpResult, the
+// WAL device and the snapshot image. Store entries, pending reads, peer replies, read
+// repair, bootstrap dumps and the recovery push all share the buffer.
 #ifndef ICG_KVSTORE_REPLICA_H_
 #define ICG_KVSTORE_REPLICA_H_
 
@@ -189,7 +198,7 @@ class KvReplica {
   void HandlePeerRead(NodeId requester, const std::string& key, uint64_t request_id,
                       std::function<void(uint64_t, std::optional<VersionedValue>)> reply);
   void HandlePeerMultiRead(
-      NodeId requester, const std::vector<std::string>& keys, uint64_t request_id,
+      NodeId requester, std::vector<std::string> keys, uint64_t request_id,
       std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply);
   void HandleReplicate(const std::string& key, VersionedValue incoming);
   // Failure-detector probe: answers with `probe_id` after a small service charge. A
@@ -203,7 +212,7 @@ class KvReplica {
 
   // --- Direct local access (tests, dataset preloading) --------------------------------
   std::optional<VersionedValue> LocalGet(const std::string& key) const;
-  void LocalPut(const std::string& key, std::string value, Version version);
+  void LocalPut(const std::string& key, ValueRef value, Version version);
   size_t LocalSize() const { return storage_.size(); }
   const KvStore& LocalStore() const { return storage_; }
 
@@ -251,8 +260,11 @@ class KvReplica {
   void MaybeFinishMultiRead(uint64_t request_id);
   void FinishMultiRead(PendingMultiRead& read);
   // Per-key LWW merge of all responses. Moves from read.local: the pending read is
-  // erased right after its final response.
-  static std::vector<std::optional<VersionedValue>> MergedMultiResult(PendingMultiRead& read);
+  // erased right after its final response. Appends to `peer_won`, in key order, the
+  // index of every key whose merged value came from a peer, i.e. is newer than the
+  // coordinator's own copy: the only keys a read repair can change.
+  static std::vector<std::optional<VersionedValue>> MergedMultiResult(
+      PendingMultiRead& read, std::vector<size_t>* peer_won);
   void SendMultiReadResponse(const PendingMultiRead& read,
                              const std::vector<std::optional<VersionedValue>>& values,
                              bool is_final, ResponseKind kind);
@@ -260,6 +272,9 @@ class KvReplica {
   static OpResult ToOpResult(const std::optional<VersionedValue>& value);
   static OpResult ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values);
   static Digest CombinedDigest(const std::vector<std::optional<VersionedValue>>& values);
+
+  // LocalGet of every key, in order, through one batched lookup (KvStore::FindMany).
+  std::vector<std::optional<VersionedValue>> LocalGetMany(const std::vector<std::string>& keys);
 
   // LWW apply to local storage; returns true if the store changed. Appends the applied
   // record to the WAL when `log` says so (lazily — durability waits for the next Sync).
@@ -283,6 +298,8 @@ class KvReplica {
   // (kv_store.h). Internal callers look a key up once through Find/TryEmplace and never
   // hold the returned pointer across another insert.
   KvStore storage_;
+  // LocalGetMany's FindMany output, reused so that its lookups allocate nothing.
+  std::vector<const VersionedValue*> found_;
   std::map<uint64_t, PendingRead> pending_reads_;
   std::map<uint64_t, PendingMultiRead> pending_multi_reads_;
   uint64_t next_request_id_ = 1;

@@ -44,7 +44,7 @@ void SnapshotManager::Take(const KvStore& storage, uint64_t through_lsn) {
     PutU32(image, static_cast<uint32_t>(key.size()));
     PutU32(image, static_cast<uint32_t>(vv.value.size()));
     image.append(key);
-    image.append(vv.value);
+    image.append(vv.value.view());
   }
   const Digest checksum = Fnv1a(image);
   PutU64(image, checksum);
@@ -82,7 +82,7 @@ bool SnapshotManager::Load(KvStore* out, uint64_t* through_lsn) const {
       out->clear();
       return false;
     }
-    vv.value = image_.substr(at + key_len, value_len);
+    vv.value = std::string_view(image_).substr(at + key_len, value_len);
     *out->TryEmplace(std::string_view(image_).substr(at, key_len)).first = std::move(vv);
     at += key_len + value_len;
   }

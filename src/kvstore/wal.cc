@@ -40,8 +40,7 @@ constexpr size_t kPayloadHeaderBytes = 8 + 8 + 4 + 4 + 4;
 
 }  // namespace
 
-uint64_t Wal::Append(const std::string& key, const std::string& value,
-                     const Version& version) {
+uint64_t Wal::Append(std::string_view key, std::string_view value, const Version& version) {
   const uint64_t lsn = next_lsn_++;
   const size_t payload_len = kPayloadHeaderBytes + key.size() + value.size();
   const size_t payload_start = device_.size() + kLenBytes;

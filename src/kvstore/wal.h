@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/common/types.h"
 
@@ -68,7 +69,7 @@ class Wal {
 
   // Appends one record to the device buffer. NOT durable until the next Sync().
   // Returns the record's LSN (strictly increasing from 1).
-  uint64_t Append(const std::string& key, const std::string& value, const Version& version);
+  uint64_t Append(std::string_view key, std::string_view value, const Version& version);
 
   // Makes every appended byte durable and returns the fsync latency the caller must
   // charge (on its service queue) before acknowledging anything covered by this sync.

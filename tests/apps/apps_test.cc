@@ -108,6 +108,21 @@ TEST_F(AdsTest, StaleProfileTriggersMisspeculation) {
   EXPECT_EQ(outcome.objects, ads_->RefsFor(7, 1).size());
 }
 
+TEST_F(AdsTest, ProfileWithNoIdsIssuesNoMultiget) {
+  // "," parses to no ad ids: the fetch answers like an empty profile and never sends an
+  // empty multiget to the coordinator.
+  stack_->cluster->Preload(AdsSystem::ProfileKey(7), ",");
+  RefFetchOutcome outcome;
+  ads_->FetchAdsByUserId(7, /*use_icg=*/true, [&](RefFetchOutcome o) { outcome = o; });
+  world_.loop().Run();
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.objects, 0u);
+  EXPECT_FALSE(outcome.misspeculated);
+  EXPECT_EQ(stack_->cluster->ReplicaIn(Region::kFrankfurt)->metrics().Value(
+                "multireads_coordinated"),
+            0);
+}
+
 TEST_F(AdsTest, UpdateProfileVisibleToStrongFetch) {
   bool updated = false;
   ads_->UpdateProfile(7, /*version=*/3, [&](bool ok) { updated = ok; });

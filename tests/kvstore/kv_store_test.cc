@@ -1,6 +1,6 @@
 // KvStore: lookups through index growth, overwrite-in-place, first-insertion iteration
-// order, absent keys (empty store, after clear(), inside a probe run) and string_view
-// lookups.
+// order, absent keys (empty store, after clear(), inside a probe run), string_view
+// lookups and batched lookups (FindMany).
 #include "src/kvstore/kv_store.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,20 @@ namespace {
 
 void Set(KvStore& store, std::string_view key, VersionedValue vv) {
   *store.TryEmplace(key).first = std::move(vv);
+}
+
+// `count` keys whose hashes share their low 16 bits, so they share a home slot at every
+// index size up to 65536 slots and fill one contiguous probe run.
+std::vector<std::string> CollidingKeys(size_t count) {
+  std::vector<std::string> colliding;
+  const uint64_t home = std::hash<std::string_view>{}("seed") & 0xffff;
+  for (int i = 0; colliding.size() < count; ++i) {
+    std::string key = "c" + std::to_string(i);
+    if ((std::hash<std::string_view>{}(key) & 0xffff) == home) {
+      colliding.push_back(std::move(key));
+    }
+  }
+  return colliding;
 }
 
 std::vector<std::string> Keys(const KvStore& store) {
@@ -84,17 +98,9 @@ TEST(KvStoreTest, AbsentKeysFindNothing) {
 }
 
 TEST(KvStoreTest, AbsentKeyInsideADenseProbeRun) {
-  // Keys whose hashes share their low 16 bits share a home slot at every index size up
-  // to 65536 slots, so they fill one contiguous probe run. A key with the same low bits
-  // that was never inserted must walk the whole run and come back empty.
-  std::vector<std::string> colliding;
-  const uint64_t home = std::hash<std::string_view>{}("seed") & 0xffff;
-  for (int i = 0; colliding.size() < 12; ++i) {
-    std::string key = "c" + std::to_string(i);
-    if ((std::hash<std::string_view>{}(key) & 0xffff) == home) {
-      colliding.push_back(std::move(key));
-    }
-  }
+  // A key with the same low hash bits as a dense probe run that was never inserted must
+  // walk the whole run and come back empty.
+  std::vector<std::string> colliding = CollidingKeys(12);
   const std::string absent = colliding.back();
   colliding.pop_back();
 
@@ -120,6 +126,49 @@ TEST(KvStoreTest, FindsByStringView) {
   EXPECT_EQ(found->value, "v");
   EXPECT_FALSE(store.TryEmplace(view).second);
   EXPECT_EQ(store.Find(std::string_view(buffer).substr(2, 9)), nullptr);  // "profile:4"
+}
+
+TEST(KvStoreTest, FindManyMatchesFind) {
+  std::vector<std::string> colliding = CollidingKeys(12);
+  const std::string absent_in_run = colliding.back();
+  colliding.pop_back();
+
+  KvStore store;
+  for (int i = 0; i < 5000; ++i) {  // grows the index from 16 to 8192 slots
+    Set(store, "key" + std::to_string(i), VersionedValue{"v" + std::to_string(i), Version{i, 1}});
+  }
+  for (size_t i = 0; i < colliding.size(); ++i) {
+    Set(store, colliding[i], VersionedValue{std::to_string(i), Version{1, 1}});
+  }
+  Set(store, "empty-value", VersionedValue{"", Version{1, 1}});
+
+  // Present and absent keys interleaved, a dense probe run and the absent key inside it,
+  // duplicates and an empty value: several groups' worth.
+  std::vector<std::string> mixed;
+  for (int i = 0; i < 40; ++i) {
+    mixed.push_back("key" + std::to_string(i * 97));
+    mixed.push_back("absent" + std::to_string(i));
+  }
+  mixed.insert(mixed.end(), colliding.begin(), colliding.end());
+  mixed.push_back(absent_in_run);
+  mixed.push_back("key0");
+  mixed.push_back("key0");
+  mixed.push_back("empty-value");
+
+  const std::vector<std::vector<std::string>> batches = {
+      {}, {"key1"}, {"absent"}, {absent_in_run}, {"key7", "key7", "key7"}, mixed};
+  const VersionedValue untouched;
+  for (const auto& keys : batches) {
+    std::vector<const VersionedValue*> out(keys.size(), &untouched);
+    store.FindMany(keys, out);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(out[i], store.Find(keys[i])) << keys[i];
+    }
+  }
+  std::vector<const VersionedValue*> out(mixed.size());
+  store.FindMany(mixed, out);
+  EXPECT_EQ(out.front()->value, "v0");
+  EXPECT_EQ(out[1], nullptr);
 }
 
 }  // namespace

@@ -254,6 +254,74 @@ TEST_F(ReplicaTest, MultiReadMergesPerKeyAcrossReplicas) {
   EXPECT_EQ(out->entries[1].value, "fresh-b");
 }
 
+TEST_F(ReplicaTest, MultiReadRepairsOnlyStaleKeys) {
+  cluster_.Preload("a", "stale-a");
+  cluster_.Preload("b", "stale-b");
+  cluster_.Preload("c", "same-c");
+  cluster_.ReplicaIn(Region::kIreland)->LocalPut("a", "fresh-a", Version{999, 1});
+  cluster_.ReplicaIn(Region::kVirginia)->LocalPut("b", "fresh-b", Version{999, 2});
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  const int64_t repairs_before = frk->metrics().Value("read_repairs");
+  const int64_t records_before = frk->wal()->appended_records();
+  StatusOr<OpResult> out(Status::Internal("none"));
+  ReadOptions options;
+  options.read_quorum = 3;
+  client_->MultiRead({"a", "b", "c", "absent"}, options,
+                     [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+                       if (is_final) {
+                         out = std::move(r);
+                       }
+                     });
+  loop_.Run();
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->entries.size(), 4u);
+  EXPECT_EQ(frk->LocalGet("a")->value, "fresh-a");
+  EXPECT_EQ(frk->LocalGet("b")->value, "fresh-b");
+  EXPECT_EQ(frk->LocalGet("c")->value, "same-c");
+  EXPECT_FALSE(frk->LocalGet("absent").has_value());
+  // Exactly the two keys a peer won were repaired, and each repair logged one record.
+  EXPECT_EQ(frk->metrics().Value("read_repairs") - repairs_before, 2);
+  EXPECT_EQ(frk->wal()->appended_records() - records_before, 2);
+}
+
+TEST_F(ReplicaTest, EmptyMultiReadIsRejected) {
+  int finals = 0;
+  StatusOr<OpResult> out(Status::Internal("none"));
+  ReadOptions options;
+  options.read_quorum = 2;
+  client_->MultiRead({}, options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+    if (is_final) {
+      finals++;
+      out = std::move(r);
+    }
+  });
+  loop_.Run();
+  EXPECT_EQ(finals, 1);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  for (const auto& replica : cluster_.replicas()) {
+    EXPECT_EQ(replica->service_queue().submitted(), 0) << replica->id();
+  }
+}
+
+TEST_F(ReplicaTest, PreloadAndReplicationShareOneBuffer) {
+  cluster_.Preload("k", "preloaded");
+  const char* preloaded = cluster_.replicas().front()->LocalStore().Find("k")->value.data();
+  for (const auto& replica : cluster_.replicas()) {
+    EXPECT_EQ(replica->LocalStore().Find("k")->value.data(), preloaded) << replica->id();
+  }
+
+  ASSERT_TRUE(Write("w", "written").ok());  // runs the loop until replication lands
+  const char* written =
+      cluster_.ReplicaIn(Region::kFrankfurt)->LocalStore().Find("w")->value.data();
+  for (const auto& replica : cluster_.replicas()) {
+    const VersionedValue* stored = replica->LocalStore().Find("w");
+    ASSERT_NE(stored, nullptr) << replica->id();
+    EXPECT_EQ(stored->value.data(), written) << replica->id();
+    EXPECT_EQ(stored->value, "written");
+  }
+}
+
 TEST_F(ReplicaTest, MultiReadIcgConfirmation) {
   cluster_.Preload("a", "va");
   cluster_.Preload("b", "vb");
