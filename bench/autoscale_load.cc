@@ -80,11 +80,11 @@ int main(int argc, char** argv) {
   stack.SetShardQueueLimit(8);
   trial.Preload(kKeyPrefix, kKeys);
 
-  IntraWorldPlacement placement = PlaceShardsAcrossLoops(group, trial.world, stack);
+  PlaceShardsAcrossLoops(group, trial.world, stack);
 
   OrchestratorOptions orch_options;
   orch_options.min_coordinators = 2;
-  Orchestrator orchestrator(&group, &trial.world, &stack, orch_options);
+  Orchestrator orchestrator(&group, &stack, orch_options);
   orchestrator.Start();
 
   bench::RateBuckets completions(kBucket, run_end);

@@ -303,7 +303,7 @@ ShardedEndpoint& AddShardedCassandraClient(SimWorld& world, ShardedCassandraStac
 }
 
 IntraWorldPlacement PlaceShardsAcrossLoops(LoopGroup& group, SimWorld& world,
-                                           ShardedCassandraStack& stack, int max_lanes) {
+                                           ShardedCassandraStack& stack) {
   IntraWorldPlacement placement;
   placement.front_slot = group.IndexOf(&world.loop());
   if (placement.front_slot < 0) {
@@ -311,69 +311,19 @@ IntraWorldPlacement PlaceShardsAcrossLoops(LoopGroup& group, SimWorld& world,
   }
   world.network().BindGroup(&group);
 
-  // Default (max_lanes == 0): one fresh lane per replica — coordinators AND join
-  // candidates. Lanes cannot be created once the group advances, so any replica that
-  // may ever coordinate (a spare promoted via AddCoordinator, a crashed coordinator
-  // re-admitted by RecoverCoordinator) must own its lane from the start; sharing would
-  // put two coordinators' service queues on one thread and break the placement policy
-  // for live membership changes.
-  //
-  // With max_lanes > 0, replicas share min(max_lanes, replicas) lanes round-robin; a
-  // PlacementAdvisor-driven RebalanceShardPlacement loop can then migrate hot
-  // co-tenants apart as load reveals itself.
-  const size_t n_replicas = stack.cluster->replicas().size();
-  const size_t n_lanes = max_lanes > 0
-                             ? std::min(static_cast<size_t>(max_lanes), n_replicas)
-                             : n_replicas;
-  for (size_t i = 0; i < n_lanes; ++i) {
-    placement.lane_slots.push_back(group.Attach(&world.AddLane()));
-  }
-  for (size_t i = 0; i < n_replicas; ++i) {
-    const auto& replica = stack.cluster->replicas()[i];
-    const int slot = placement.lane_slots[i % n_lanes];
+  // One fresh lane per replica — coordinators AND join candidates. Lanes cannot be
+  // created once the group advances, so any replica that may ever coordinate (a spare
+  // promoted via AddCoordinator, a crashed coordinator re-admitted by
+  // RecoverCoordinator) must own its lane from the start; sharing would put two
+  // coordinators' service queues on one thread and break the placement policy for
+  // live membership changes.
+  for (const auto& replica : stack.cluster->replicas()) {
+    const int slot = group.Attach(&world.AddLane());
     world.network().PlaceNode(replica->id(), slot);
     replica->RebindLoop();
     placement.replica_slots.push_back(slot);
   }
   return placement;
-}
-
-std::vector<PlacementMove> RebalanceShardPlacement(LoopGroup& group, SimWorld& world,
-                                                   ShardedCassandraStack& stack,
-                                                   IntraWorldPlacement& placement,
-                                                   PlacementAdvisor& advisor,
-                                                   SimDuration drain_window) {
-  // Lane load = events the lane's loop ran + cross-loop messages delivered onto it;
-  // replica load = its service-queue submissions. All virtual-time counters, so the
-  // advisor's verdict — and therefore the migration schedule — is width-independent.
-  std::vector<LaneSample> lanes;
-  lanes.reserve(placement.lane_slots.size());
-  for (const int slot : placement.lane_slots) {
-    lanes.push_back(LaneSample{
-        slot, group.loop(slot).events_processed() + group.slot_delivered_messages(slot)});
-  }
-  std::vector<EntitySample> entities;
-  const auto& replicas = stack.cluster->replicas();
-  entities.reserve(replicas.size());
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    entities.push_back(EntitySample{static_cast<int>(i), placement.replica_slots[i],
-                                    replicas[i]->service_queue().submitted()});
-  }
-  std::vector<PlacementMove> applied;
-  for (const PlacementMove& move : advisor.Advise(lanes, entities)) {
-    KvReplica* replica = replicas[static_cast<size_t>(move.entity)].get();
-    if (!replica->CanMigrateLoop()) {
-      continue;  // armed timers this interval; the advisor will reconsider next time
-    }
-    world.network().MigrateNode(replica->id(), move.to_slot);
-    replica->MigrateLoop();
-    // Fuse the two lanes for the drain window: messages already in flight toward the
-    // old lane still run there, single-threaded with the replica's new-lane work.
-    group.FuseLanes({move.from_slot, move.to_slot}, group.Now() + drain_window);
-    placement.replica_slots[static_cast<size_t>(move.entity)] = move.to_slot;
-    applied.push_back(move);
-  }
-  return applied;
 }
 
 ZooKeeperStack MakeZooKeeperStack(SimWorld& world, ZabConfig zab_config, Region client_region,

@@ -14,7 +14,6 @@
 #include "src/bindings/zookeeper_binding.h"
 #include "src/correctables/binding_router.h"
 #include "src/correctables/client.h"
-#include "src/harness/placement_advisor.h"
 #include "src/kvstore/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/loop_group.h"
@@ -228,7 +227,6 @@ class ShardedCassandraStack {
 struct IntraWorldPlacement {
   int front_slot = -1;             // clients + routers (the world's own loop)
   std::vector<int> replica_slots;  // parallel to stack.cluster->replicas()
-  std::vector<int> lane_slots;     // the distinct replica lanes (excludes front_slot)
 };
 
 // Splits ONE sharded deployment across the loops of `group`: EVERY cluster replica —
@@ -240,9 +238,7 @@ struct IntraWorldPlacement {
 // One lane per replica (not per coordinator) is what makes LIVE membership honor the
 // placement policy: lanes cannot be created after the group starts advancing, so a
 // spare promoted via AddCoordinator — or a crashed coordinator re-admitted through
-// RecoverCoordinator — must already own the lane it will coordinate on. Previously
-// spares shared coordinator lanes round-robin, so a promotion landed the new
-// coordinator on another coordinator's lane (and a recovered one lost its placement).
+// RecoverCoordinator — must already own the lane it will coordinate on.
 //
 // Latency trade: messages between loops are delivered at the group's next round
 // barrier, so `group.Options::quantum` bounds the added cross-loop latency — a smaller
@@ -251,35 +247,8 @@ struct IntraWorldPlacement {
 // topology's RTTs make the added latency negligible.
 //
 // Call right after building the stack and its endpoints, before any load runs.
-//
-// `max_lanes` constrains how many replica lanes are created. 0 (the default) keeps the
-// one-lane-per-replica policy above. A positive value creates min(max_lanes, replicas)
-// lanes and assigns replicas round-robin — deliberate co-tenancy for machines with
-// fewer cores than replicas, and the configuration under which stats-driven
-// rebalancing (RebalanceShardPlacement) is meaningful: with private lanes there is
-// nothing to rebalance.
 IntraWorldPlacement PlaceShardsAcrossLoops(LoopGroup& group, SimWorld& world,
-                                           ShardedCassandraStack& stack,
-                                           int max_lanes = 0);
-
-// One step of the stats-driven placement loop: samples per-lane load (events processed
-// + cross-loop messages delivered per slot) and per-replica load (service-queue
-// submissions), asks `advisor`, and applies the recommended migration live —
-// Network::MigrateNode re-routes new traffic, KvReplica::MigrateLoop moves the
-// replica's scheduling, and the old and new lanes are fused (LoopGroup::FuseLanes) for
-// `drain_window` of virtual time so messages still in flight toward the old lane
-// cannot race the replica's new-lane work. A replica holding armed timers
-// (CanMigrateLoop() false) is skipped this interval and reconsidered the next.
-//
-// Call between rounds (e.g. every N RunUntil chunks) on the driver thread. Every
-// decision derives from virtual-time counters, so rebalancing preserves bit-for-bit
-// width determinism — the intra-world oracle runs this loop at widths 0/2/4/8.
-// Returns the moves actually applied.
-std::vector<PlacementMove> RebalanceShardPlacement(LoopGroup& group, SimWorld& world,
-                                                   ShardedCassandraStack& stack,
-                                                   IntraWorldPlacement& placement,
-                                                   PlacementAdvisor& advisor,
-                                                   SimDuration drain_window = Millis(300));
+                                           ShardedCassandraStack& stack);
 
 // Builds a cluster with one replica per `replica_regions` entry and routes traffic
 // across the first `n_coordinators` of them (clamped to [1, #replicas]); the remaining

@@ -15,7 +15,6 @@ const char* ControlActionName(ControlActionKind kind) {
     case ControlActionKind::kShrinkWindow: return "shrink";
     case ControlActionKind::kScaleOut: return "scale-out";
     case ControlActionKind::kScaleIn: return "scale-in";
-    case ControlActionKind::kRebalance: return "rebalance";
   }
   return "?";
 }
@@ -24,11 +23,6 @@ ControlAction OrchestratorPolicy::Emit(ControlActionKind kind, size_t detail) {
   ++actions_;
   cooldown_ = options_.cooldown_intervals;
   return ControlAction{kind, detail};
-}
-
-void OrchestratorPolicy::NoteExternalAction() {
-  ++actions_;
-  cooldown_ = options_.cooldown_intervals;
 }
 
 ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
@@ -99,10 +93,10 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
   return {};
 }
 
-Orchestrator::Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraStack* stack,
+Orchestrator::Orchestrator(LoopGroup* group, ShardedCassandraStack* stack,
                            OrchestratorOptions options)
-    : group_(group), world_(world), stack_(stack), options_(options), policy_(options) {
-  assert(group_ != nullptr && world_ != nullptr && stack_ != nullptr);
+    : group_(group), stack_(stack), options_(options), policy_(options) {
+  assert(group_ != nullptr && stack_ != nullptr);
   assert(!options_.window_ladder.empty());
   // Join the ladder at the stack's current window (rung 0 if it is off-ladder).
   const SimDuration current = stack_->batch_window();
@@ -112,13 +106,6 @@ Orchestrator::Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraSt
       break;
     }
   }
-}
-
-void Orchestrator::EnablePlacement(IntraWorldPlacement* placement,
-                                   PlacementAdvisorOptions advisor_options) {
-  assert(placement != nullptr);
-  placement_ = placement;
-  advisor_ = std::make_unique<PlacementAdvisor>(advisor_options);
 }
 
 void Orchestrator::Start() {
@@ -140,6 +127,13 @@ void Orchestrator::Start() {
 void Orchestrator::Stop() {
   running_ = false;
   ++generation_;  // a pending tick sees the bump and dies quietly
+}
+
+bool Orchestrator::IsLiveSpare(const KvReplica& replica) const {
+  // A crashed replica is no spare: promoting it would route a shard's keys to a dead
+  // node until the failure detector evicted it again.
+  const auto& ring = stack_->coordinator_ids();
+  return !replica.crashed() && std::find(ring.begin(), ring.end(), replica.id()) == ring.end();
 }
 
 int64_t Orchestrator::TotalSheds() const {
@@ -184,7 +178,11 @@ ControlSample Orchestrator::Sample() {
     signal.primary_share = it != shares.end() ? it->second : 0.0;
     sample.shards.push_back(signal);
   }
-  sample.spare_replicas = stack_->cluster->replicas().size() - n_shards;
+  for (const auto& replica : stack_->cluster->replicas()) {
+    if (IsLiveSpare(*replica)) {
+      ++sample.spare_replicas;
+    }
+  }
   return sample;
 }
 
@@ -215,12 +213,11 @@ void Orchestrator::Apply(const ControlAction& action, const ControlSample& sampl
       Record(action.kind, action.detail, sample);
       break;
     case ControlActionKind::kScaleOut: {
-      // First spare in cluster order: deterministic, and under PlaceShardsAcrossLoops
-      // every replica already owns the lane it will coordinate on.
+      // First live spare in cluster order: deterministic, and under
+      // PlaceShardsAcrossLoops every replica already owns the lane it will coordinate on.
       NodeId promoted = kInvalidNode;
       for (const auto& replica : stack_->cluster->replicas()) {
-        const auto& ring = stack_->coordinator_ids();
-        if (std::find(ring.begin(), ring.end(), replica->id()) == ring.end()) {
+        if (IsLiveSpare(*replica)) {
           promoted = replica->id();
           break;
         }
@@ -241,19 +238,6 @@ void Orchestrator::Apply(const ControlAction& action, const ControlSample& sampl
       stack_->RemoveCoordinator(retired);
       Record(action.kind, static_cast<size_t>(retired), sample);
       break;
-    }
-    case ControlActionKind::kRebalance:
-      break;  // never produced by the policy; recorded by the placement leg below
-  }
-
-  // The placement leg rides intervals the policy left idle, so the one-action-per-
-  // interval budget holds across both decision paths.
-  if (action.kind == ControlActionKind::kNone && placement_ != nullptr) {
-    const std::vector<PlacementMove> moves =
-        RebalanceShardPlacement(*group_, *world_, *stack_, *placement_, *advisor_);
-    if (!moves.empty()) {
-      policy_.NoteExternalAction();
-      Record(ControlActionKind::kRebalance, static_cast<size_t>(moves[0].entity), sample);
     }
   }
 }

@@ -8,19 +8,17 @@
 //     aggregate shed deltas         hysteresis + streaks     AddCoordinator /
 //   PrimaryLoadEstimate             + cooldown; at most        RemoveCoordinator
 //     per-shard keyspace share      ONE action / interval      (versioned ApplyRing)
-//   LoopGroup lane counters       PlacementAdvisor           RebalanceShardPlacement
-//     events + deliveries/slot      (hot-lane detection)       (live lane migration)
 //
-// Split exactly like the placement stack: OrchestratorPolicy is the pure decision
-// function — it consumes one ControlSample per interval and returns at most one
-// ControlAction, with every aggregate computed order-invariantly and every tie broken
-// deterministically, so the metamorphic suite can probe it directly. Orchestrator is
-// the harness glue: it samples the running deployment, applies the decision, and
-// reschedules itself through LoopGroup::ScheduleDriverTask, so every actuation runs on
-// the driver thread between rounds — the same contract as manual membership changes.
+// OrchestratorPolicy is the pure decision function — it consumes one ControlSample per
+// interval and returns at most one ControlAction, with every aggregate computed
+// order-invariantly and every tie broken deterministically, so the metamorphic suite
+// can probe it directly. Orchestrator is the harness glue: it samples the running
+// deployment, applies the decision, and reschedules itself through
+// LoopGroup::ScheduleDriverTask, so every actuation runs on the driver thread between
+// rounds — the same contract as manual membership changes.
 //
-// Determinism argument: every input is a virtual-time counter (router snapshots,
-// PrimaryLoadEstimate under a fixed seed, per-lane event/delivery counts) — never a
+// Determinism argument: every input is virtual-time state (router snapshots,
+// PrimaryLoadEstimate under a fixed seed, which replicas have crashed) — never a
 // wall-clock metric like barrier_wait_ns — and ticks fire on the barrier schedule,
 // which is itself a pure function of virtual-time state. So the controller's action
 // log is bit-identical across LoopGroup widths 0/2/4/8; the orchestrator oracle
@@ -35,14 +33,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/harness/deployment.h"
-#include "src/harness/placement_advisor.h"
 #include "src/sim/loop_group.h"
 
 namespace icg {
@@ -53,7 +49,6 @@ enum class ControlActionKind {
   kShrinkWindow,  // descend one rung
   kScaleOut,      // promote a spare replica into the coordinator ring
   kScaleIn,       // retire the coldest coordinator from the ring
-  kRebalance,     // PlacementAdvisor-driven lane migration was applied
 };
 
 const char* ControlActionName(ControlActionKind kind);
@@ -82,7 +77,7 @@ struct ControlSample {
   // Aggregate sheds since the previous sample, from RouterLoadSnapshot::total_sheds()
   // — monotone across ring changes, so the delta is epoch-safe.
   int64_t shed_delta = 0;
-  size_t spare_replicas = 0;  // cluster replicas not currently coordinating
+  size_t spare_replicas = 0;  // live cluster replicas not currently coordinating
   size_t window_index = 0;    // current rung on the batch-window ladder
   size_t window_ladder_size = 0;
 };
@@ -107,7 +102,7 @@ struct OrchestratorOptions {
   int cool_intervals_to_scale_in = 6;
   double cool_outstanding_per_shard = 1.0;
   // Decide() calls to sit out after emitting an action, letting its effect reach the
-  // counters before the next judgement (mirrors PlacementAdvisorOptions).
+  // counters before the next judgement.
   int cooldown_intervals = 2;
   size_t min_coordinators = 1;
   size_t max_coordinators = 64;
@@ -132,10 +127,6 @@ class OrchestratorPolicy {
   // qualify). Monotone by construction: a strictly higher shed_delta can only extend
   // the shed streak and reset the cool streak, so it never triggers scale-in.
   ControlAction Decide(const ControlSample& sample);
-
-  // An action was applied outside Decide() (the placement leg): start the shared
-  // cooldown so at most one actuation lands per interval overall.
-  void NoteExternalAction();
 
   const OrchestratorOptions& options() const { return options_; }
   int64_t intervals_observed() const { return intervals_; }
@@ -168,14 +159,8 @@ struct OrchestratorEvent {
 // timer). The orchestrator must outlive the group's last round.
 class Orchestrator {
  public:
-  Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraStack* stack,
+  Orchestrator(LoopGroup* group, ShardedCassandraStack* stack,
                OrchestratorOptions options = {});
-
-  // Wires the placement leg: on intervals where no knob action fires, consult the
-  // advisor and live-migrate a hot co-tenant (RebalanceShardPlacement). `placement`
-  // must outlive the orchestrator. Only meaningful with lane co-tenancy (max_lanes).
-  void EnablePlacement(IntraWorldPlacement* placement,
-                       PlacementAdvisorOptions advisor_options = {});
 
   // Baselines the shed counters and schedules the first tick one control interval
   // from now. Driver thread, between rounds.
@@ -198,17 +183,16 @@ class Orchestrator {
   void Tick();
   ControlSample Sample();
   void Apply(const ControlAction& action, const ControlSample& sample);
+  // A replica outside the coordinator ring that has not crashed: what a scale-out may
+  // promote.
+  bool IsLiveSpare(const KvReplica& replica) const;
   int64_t TotalSheds() const;
   void Record(ControlActionKind kind, size_t detail, const ControlSample& sample);
 
   LoopGroup* group_;
-  SimWorld* world_;
   ShardedCassandraStack* stack_;
   OrchestratorOptions options_;
   OrchestratorPolicy policy_;
-
-  IntraWorldPlacement* placement_ = nullptr;
-  std::unique_ptr<PlacementAdvisor> advisor_;
 
   bool running_ = false;
   uint64_t generation_ = 0;  // Stop() bumps it; a stale tick sees the mismatch and dies

@@ -85,7 +85,7 @@ KvCluster::KvCluster(Network* network, Topology* topology, const KvConfig* confi
                                                     std::string("kv-") + RegionName(region)));
     ids.push_back(id);
   }
-  partitioner_ = std::make_unique<Partitioner>(ids, config->replication_factor);
+  partitioner_ = std::make_unique<Partitioner>(ids, /*replication_factor=*/1);
   for (auto& replica : replicas_) {
     std::vector<KvReplica*> peers;
     for (auto& other : replicas_) {

@@ -56,7 +56,6 @@ class KvCluster {
 
   KvReplica* ReplicaIn(Region region);
   const std::vector<std::unique_ptr<KvReplica>>& replicas() const { return replicas_; }
-  const Partitioner& partitioner() const { return *partitioner_; }
 
   // Creates a client located in `client_region`, coordinated by the replica in
   // `coordinator_region`.
@@ -69,6 +68,8 @@ class KvCluster {
   Network* network_;
   Topology* topology_;
   std::vector<std::unique_ptr<KvReplica>> replicas_;
+  // Names each preloaded key's primary, whose id stamps the preload version. Every
+  // replica stores every key (each has all the others as peers), so one owner suffices.
   std::unique_ptr<Partitioner> partitioner_;
 };
 

@@ -29,12 +29,6 @@ void KvReplica::RebindLoop() {
   service_.RebindLoop(loop_);
 }
 
-void KvReplica::MigrateLoop() {
-  assert(CanMigrateLoop() && "live migration needs a timer-free replica");
-  loop_ = network_->LoopFor(id_);
-  service_.MigrateLoop(loop_);
-}
-
 void KvReplica::SetPeers(std::vector<KvReplica*> peers) {
   peers_ = std::move(peers);
   // Keep peers ordered nearest-first from this node, so quorum requests go to the
@@ -105,7 +99,7 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
   }
 
   // Local read on the coordinator's service queue.
-  service_.Submit(config_->read_service, [this, request_id]() {
+  service_.Submit(kReadService, [this, request_id]() {
     auto it = pending_reads_.find(request_id);
     if (it == pending_reads_.end()) {
       return;
@@ -314,8 +308,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
   read.keys = std::move(keys);
   read.options = options;
   read.respond = std::move(respond);
-  const auto batch_extra =
-      config_->multiread_per_key_service * static_cast<SimDuration>(read.keys.size() - 1);
+  const auto batch_extra = kMultireadPerKeyService * static_cast<SimDuration>(read.keys.size() - 1);
 
   if (options.read_quorum > 1) {
     const size_t peer_count =
@@ -352,7 +345,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
     }
   }
 
-  service_.Submit(config_->read_service + batch_extra, [this, request_id]() {
+  service_.Submit(kReadService + batch_extra, [this, request_id]() {
     auto it = pending_multi_reads_.find(request_id);
     if (it == pending_multi_reads_.end()) {
       return;
@@ -495,9 +488,8 @@ void KvReplica::HandlePeerMultiRead(
   if (crashed_) {
     return;
   }
-  const auto batch_extra =
-      config_->multiread_per_key_service * static_cast<SimDuration>(keys.size() - 1);
-  service_.Submit(config_->peer_read_service + batch_extra,
+  const auto batch_extra = kMultireadPerKeyService * static_cast<SimDuration>(keys.size() - 1);
+  service_.Submit(kPeerReadService + batch_extra,
                   [this, requester, keys = std::move(keys), request_id,
                    reply = std::move(reply)]() mutable {
                     std::vector<std::optional<VersionedValue>> values = LocalGetMany(keys);
@@ -521,8 +513,8 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
     return;
   }
   metrics_.GetCounter("writes_coordinated").Increment();
-  service_.Submit(config_->write_service, [this, client_id, key, value = std::move(value),
-                                           timestamp, respond = std::move(respond)]() mutable {
+  service_.Submit(kWriteService, [this, client_id, key, value = std::move(value), timestamp,
+                                  respond = std::move(respond)]() mutable {
     // Coordinator-assigned LWW timestamp; write_seq_ keeps it strictly monotonic even for
     // same-microsecond writes, and the writer id breaks cross-coordinator ties. A client
     // stamp overrides both fields: the stamp orders the writer's stream and the client id
@@ -597,8 +589,7 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
     return;
   }
   const SimDuration service =
-      config_->write_service +
-      static_cast<SimDuration>(keys.size() - 1) * config_->multiwrite_per_key_service;
+      kWriteService + static_cast<SimDuration>(keys.size() - 1) * kMultiwritePerKeyService;
   service_.Submit(service, [this, client_id, keys = std::move(keys),
                             values = std::move(values), timestamps = std::move(timestamps),
                             respond = std::move(respond)]() mutable {
@@ -659,8 +650,8 @@ void KvReplica::HandlePeerRead(NodeId requester, const std::string& key, uint64_
   if (crashed_) {
     return;
   }
-  service_.Submit(config_->peer_read_service, [this, requester, key, request_id,
-                                               reply = std::move(reply)]() mutable {
+  service_.Submit(kPeerReadService, [this, requester, key, request_id,
+                                     reply = std::move(reply)]() mutable {
     auto value = LocalGet(key);
     const int64_t bytes =
         kResponseHeaderBytes +
@@ -676,7 +667,7 @@ void KvReplica::HandleReplicate(const std::string& key, VersionedValue incoming)
   if (crashed_) {
     return;
   }
-  service_.Submit(config_->replicate_service, [this, key, incoming = std::move(incoming)]() {
+  service_.Submit(kReplicateService, [this, key, incoming = std::move(incoming)]() {
     if (ApplyLww(key, incoming, /*log=*/true)) {
       metrics_.GetCounter("replications_applied").Increment();
     }
@@ -688,7 +679,7 @@ void KvReplica::HandlePing(NodeId requester, uint64_t probe_id,
   if (crashed_) {
     return;  // a dead process answers nothing — missed probes are the death signal
   }
-  service_.Submit(config_->ping_service,
+  service_.Submit(kPingService,
                   [this, requester, probe_id, reply = std::move(reply)]() {
                     network_->Send(id_, requester, kResponseHeaderBytes,
                                    [reply, probe_id]() { reply(probe_id); });
@@ -702,8 +693,7 @@ void KvReplica::HandleBootstrap(
     return;
   }
   const SimDuration service =
-      config_->peer_read_service +
-      config_->bootstrap_per_key_service * static_cast<SimDuration>(storage_.size());
+      kPeerReadService + kBootstrapPerKeyService * static_cast<SimDuration>(storage_.size());
   service_.Submit(service, [this, requester, deliver = std::move(deliver)]() {
     std::vector<std::pair<std::string, VersionedValue>> dump(storage_.begin(),
                                                              storage_.end());
@@ -744,8 +734,7 @@ void KvReplica::MaybeScheduleSnapshot() {
   }
   snapshot_in_flight_ = true;
   const SimDuration service =
-      config_->snapshot_base_service +
-      config_->snapshot_per_entry_service * static_cast<SimDuration>(storage_.size());
+      kSnapshotBaseService + kSnapshotPerEntryService * static_cast<SimDuration>(storage_.size());
   // Background snapshot on the service queue: it competes with request work for the
   // replica's CPU, the cost of bounding replay time. Crash() cancels it via the queue's
   // generation, so no incarnation check is needed here.
@@ -820,7 +809,7 @@ void KvReplica::Recover() {
     const uint64_t inc = incarnation_;
     const uint64_t replayed_through = wal_.next_lsn() - 1;
     const SimDuration scan =
-        config_->bootstrap_per_key_service * static_cast<SimDuration>(replayed_keys.size());
+        kBootstrapPerKeyService * static_cast<SimDuration>(replayed_keys.size());
     service_.Submit(scan, [this, inc, replayed_through,
                            keys = std::move(replayed_keys)]() {
       if (inc != incarnation_ || crashed_) {
@@ -879,8 +868,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
           }
           // Merging the dump is real work: charge it like a replication batch.
           const SimDuration service =
-              config_->replicate_service +
-              config_->bootstrap_per_key_service * static_cast<SimDuration>(dump.size());
+              kReplicateService + kBootstrapPerKeyService * static_cast<SimDuration>(dump.size());
           service_.Submit(service, [this, inc, dump = std::move(dump)]() {
             uint64_t merged = 0;
             for (const auto& [key, vv] : dump) {
@@ -896,7 +884,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
               bootstrap_round_ = 1;
               bootstrap_pending_ = true;
               bootstrap_timer_ =
-                  loop_->Schedule(config_->bootstrap_settle_delay, [this, inc]() {
+                  loop_->Schedule(kBootstrapSettleDelay, [this, inc]() {
                     bootstrap_timer_ = 0;
                     if (inc == incarnation_ && bootstrap_pending_) {
                       StartBootstrap(0);

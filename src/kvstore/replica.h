@@ -55,19 +55,9 @@
 
 namespace icg {
 
+// The replica's settable knobs. Its fixed service times are KvReplica constants.
 struct KvConfig {
-  int replication_factor = 3;
-
-  // Coordinator-side service times (single-server queue per replica).
-  SimDuration read_service = Micros(900);       // local read on the coordinator
-  SimDuration peer_read_service = Micros(400);  // serving an internal quorum read
-  SimDuration write_service = Micros(500);      // coordinator write apply + fan-out
-  SimDuration replicate_service = Micros(300);  // applying a replicated write
-  SimDuration flush_service = Micros(60);       // CC preliminary flushing (extra)
-  // Incremental cost per additional key in a batched (multiget) read.
-  SimDuration multiread_per_key_service = Micros(60);
-  // Incremental cost per additional write in a batched (multiput) submission.
-  SimDuration multiwrite_per_key_service = Micros(80);
+  SimDuration flush_service = Micros(60);  // CC preliminary flushing (extra)
 
   // Coordinator waits this long for quorum responses before failing the read.
   SimDuration read_timeout = Millis(2000);
@@ -79,14 +69,6 @@ struct KvConfig {
   SimDuration wal_fsync_service = 0;  // fsync charged between WAL append and write ack
   bool wal_torn_tail = false;         // crash may leave a torn partial record (faults)
   int64_t snapshot_every = 0;         // snapshot every N appended records (0 = never)
-  SimDuration snapshot_base_service = Micros(400);     // fixed cost of taking a snapshot
-  SimDuration snapshot_per_entry_service = Micros(2);  // plus per stored entry
-  SimDuration ping_service = Micros(20);               // heartbeat probe handling
-  SimDuration bootstrap_per_key_service = Micros(5);   // anti-entropy dump, per entry
-  // Writes acked while this replica was down may still be in flight to the bootstrap
-  // peer when it serves the first dump (their fan-out raced the dump). A second round
-  // after this delay — past the worst one-way replication latency — closes the race.
-  SimDuration bootstrap_settle_delay = Millis(300);
 };
 
 // How a client read wants its responses delivered.
@@ -105,6 +87,24 @@ using KvResponseFn =
 
 class KvReplica {
  public:
+  // Service times on the replica's single-server queue.
+  static constexpr SimDuration kReadService = Micros(900);       // local coordinator read
+  static constexpr SimDuration kPeerReadService = Micros(400);   // serving a quorum read
+  static constexpr SimDuration kWriteService = Micros(500);      // write apply + fan-out
+  static constexpr SimDuration kReplicateService = Micros(300);  // replicated write apply
+  // Incremental cost per additional key in a batched (multiget) read.
+  static constexpr SimDuration kMultireadPerKeyService = Micros(60);
+  // Incremental cost per additional write in a batched (multiput) submission.
+  static constexpr SimDuration kMultiwritePerKeyService = Micros(80);
+  static constexpr SimDuration kSnapshotBaseService = Micros(400);    // taking a snapshot
+  static constexpr SimDuration kSnapshotPerEntryService = Micros(2);  // plus per entry
+  static constexpr SimDuration kPingService = Micros(20);             // heartbeat probe
+  static constexpr SimDuration kBootstrapPerKeyService = Micros(5);   // anti-entropy, per entry
+  // Writes acked while this replica was down may still be in flight to the bootstrap
+  // peer when it serves the first dump (their fan-out raced the dump). A second round
+  // after this delay — past the worst one-way replication latency — closes the race.
+  static constexpr SimDuration kBootstrapSettleDelay = Millis(300);
+
   KvReplica(Network* network, NodeId id, const KvConfig* config, const std::string& name);
 
   // Wires up the peer set (all other replicas, excluding self). Must be called once
@@ -121,24 +121,6 @@ class KvReplica {
   // Legal whenever the replica is quiescent — before any traffic, after a drain, or on
   // a crashed replica (Crash() cancels everything in flight).
   void RebindLoop();
-
-  // True when the replica can move lanes *live* (MigrateLoop below): nothing may hold
-  // an armed timer, because TimerIds are loop-local generation-checked handles —
-  // cancelling an old-loop id against the new loop could cancel an innocent timer.
-  // Reads and multi-reads arm timeout timers; bootstrap re-arms itself; writes and
-  // queued service work hold none, so service work in flight is fine (the caller
-  // covers it with a fused-lane window).
-  bool CanMigrateLoop() const {
-    return !crashed_ && pending_reads_.empty() && pending_multi_reads_.empty() &&
-           bootstrap_timer_ == 0;
-  }
-
-  // Live-placement variant of RebindLoop for stats-driven rebalancing: re-resolves the
-  // loop through Network::LoopFor (the network placement must already point at the new
-  // lane) while service work may still be in flight. The caller must fuse the old and
-  // new lanes for a drain window (LoopGroup::FuseLanes) so in-flight completions and
-  // new-lane work never run concurrently.
-  void MigrateLoop();
 
   // --- Crash & recovery ----------------------------------------------------------------
   // kill -9: wipes all volatile state (storage, pending reads, queued service work) and

@@ -62,7 +62,6 @@ int LoopGroup::Attach(EventLoop* loop) {
     slot.outbox.resize(slots_.size());
   }
   external_outbox_.resize(slots_.size());
-  units_dirty_ = true;
   return index;
 }
 
@@ -212,7 +211,6 @@ void LoopGroup::DrainChannel() {
       remaining += ref.run->size();
     }
     EventLoop* loop = slots_[target].loop;
-    slots_[target].delivered_messages += static_cast<int64_t>(remaining);
     drained += static_cast<int64_t>(remaining);
     while (remaining > 0) {
       size_t best = drain_runs_.size();
@@ -283,87 +281,13 @@ void LoopGroup::DriveLoop(int index, SimTime barrier) {
   slot.round_events = slot.loop->events_processed() - before;
 }
 
-void LoopGroup::DriveUnit(int unit_index, SimTime barrier) {
-  // Ascending slot order — the sequential driver's order, so a fused unit behaves
-  // bit-for-bit like the sequential schedule regardless of which thread claimed it.
-  for (int slot : units_[static_cast<size_t>(unit_index)]) {
-    DriveLoop(slot, barrier);
-  }
-}
-
-void LoopGroup::FuseLanes(const std::vector<int>& lanes, SimTime until) {
-  assert(until > now_ && "a fusion window must extend past the current barrier");
-  Fusion fusion;
-  fusion.lanes = lanes;
-  std::sort(fusion.lanes.begin(), fusion.lanes.end());
-  fusion.lanes.erase(std::unique(fusion.lanes.begin(), fusion.lanes.end()),
-                     fusion.lanes.end());
-  if (fusion.lanes.size() < 2) {
-    return;
-  }
-  assert(fusion.lanes.front() >= 0 && fusion.lanes.back() < size());
-  fusion.until = until;
-  fusions_.push_back(std::move(fusion));
-  units_dirty_ = true;
-}
-
-void LoopGroup::ExpireFusions() {
-  if (fusions_.empty()) {
-    return;
-  }
-  auto expired = std::remove_if(fusions_.begin(), fusions_.end(),
-                                [&](const Fusion& f) { return f.until <= now_; });
-  if (expired != fusions_.end()) {
-    fusions_.erase(expired, fusions_.end());
-    units_dirty_ = true;
-  }
-}
-
-void LoopGroup::RebuildUnits() {
-  const int n = size();
-  std::vector<int> parent(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    parent[static_cast<size_t>(i)] = i;
-  }
-  auto find = [&parent](int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  for (const Fusion& fusion : fusions_) {
-    const int anchor = fusion.lanes.front();
-    for (size_t i = 1; i < fusion.lanes.size(); ++i) {
-      const int a = find(anchor);
-      const int b = find(fusion.lanes[i]);
-      if (a != b) {
-        // Union by smaller root so the representative is deterministic.
-        parent[static_cast<size_t>(std::max(a, b))] = std::min(a, b);
-      }
-    }
-  }
-  units_.clear();
-  std::vector<int> unit_of(static_cast<size_t>(n), -1);
-  for (int s = 0; s < n; ++s) {
-    const int root = find(s);
-    if (unit_of[static_cast<size_t>(root)] < 0) {
-      unit_of[static_cast<size_t>(root)] = static_cast<int>(units_.size());
-      units_.emplace_back();
-    }
-    units_[static_cast<size_t>(unit_of[static_cast<size_t>(root)])].push_back(s);
-  }
-  units_dirty_ = false;
-}
-
 void LoopGroup::StartWorkers() {
-  // The driver claims units too, so K threads in total means K - 1 workers.
+  // The driver claims loops too, so K threads in total means K - 1 workers.
   worker_count_ = std::min(options_.threads, size()) - 1;
   // Spinning only pays while every thread has a core of its own: with more threads than
   // cores a spinner burns the core a peer needs to finish, so park immediately there.
   spin_budget_ = worker_count_ + 1 <= HardwareThreads() ? kSpinIterations : 0;
-  unit_claims_ = std::vector<std::atomic<uint64_t>>(static_cast<size_t>(size()));
+  loop_claims_ = std::vector<std::atomic<uint64_t>>(static_cast<size_t>(size()));
   workers_.reserve(static_cast<size_t>(worker_count_));
   for (int w = 0; w < worker_count_; ++w) {
     workers_.emplace_back([this, w]() { WorkerMain(w); });
@@ -408,85 +332,72 @@ void LoopGroup::WorkerMain(int worker_index) {
   }
 }
 
-bool LoopGroup::TryClaim(int unit, uint64_t gen) {
-  std::atomic<uint64_t>& claim = unit_claims_[static_cast<size_t>(unit)];
+bool LoopGroup::TryClaim(int index, uint64_t gen) {
+  std::atomic<uint64_t>& claim = loop_claims_[static_cast<size_t>(index)];
   return claim.load(std::memory_order_relaxed) != gen &&
          claim.exchange(gen, std::memory_order_relaxed) != gen;
 }
 
 void LoopGroup::DriveRoundShare(int thread, uint64_t gen, SimTime barrier) {
-  // Home units first: unit u belongs to thread u % (workers + 1), so in a balanced round
+  // Home loops first: loop i belongs to thread i % (workers + 1), so in a balanced round
   // every loop stays on the same thread — and its working set in that core's cache —
   // round after round. Then steal whatever is still unclaimed, so a thread that drew a
-  // hot unit never leaves the rest of its share waiting. A claim is exclusive (the
-  // exchange stamps the unit with this round's generation), so each unit is still
+  // hot loop never leaves the rest of its share waiting. A claim is exclusive (the
+  // exchange stamps the loop with this round's generation), so each loop is still
   // driven by exactly one thread per round: loops need no locking, and per-loop event
   // order — and therefore determinism — is untouched. Claiming only decides *which
-  // thread* drives a unit.
+  // thread* drives a loop.
   const int threads = worker_count_ + 1;
-  for (int unit : round_units_) {
-    if (unit % threads == thread && TryClaim(unit, gen)) {
-      DriveUnit(unit, barrier);
+  for (int index : round_loops_) {
+    if (index % threads == thread && TryClaim(index, gen)) {
+      DriveLoop(index, barrier);
     }
   }
-  for (int unit : round_units_) {
-    if (TryClaim(unit, gen)) {
-      DriveUnit(unit, barrier);
+  for (int index : round_loops_) {
+    if (TryClaim(index, gen)) {
+      DriveLoop(index, barrier);
     }
   }
 }
 
-void LoopGroup::RunRound(SimTime barrier) {
-  assert(barrier >= now_);
-  ExpireFusions();
-  if (units_dirty_) {
-    RebuildUnits();
-  }
+void LoopGroup::RunRound(SimTime from, SimTime barrier) {
+  assert(barrier >= from && from >= now_);
   // Deliver everything queued before the round, so externally posted work (and last
   // round's messages) is on its target before that target runs — and before the
   // activity scan below, so a delivered message counts as due work.
   DrainChannel();
-  // Partition units into active (an event due by the barrier) and idle. Idle loops
+  // Partition loops into active (an event due by the barrier) and idle. Idle loops
   // are advanced inline by the driver: RunUntil with nothing due runs no user code,
   // just moves the clock, so it is safe off the worker pool and costs ~nothing. The
   // active set depends only on virtual-time state, so it is width-independent.
-  round_units_.clear();
-  for (size_t u = 0; u < units_.size(); ++u) {
-    bool active = false;
-    for (int s : units_[u]) {
-      const auto next = slots_[static_cast<size_t>(s)].loop->NextEventTime();
-      if (next.has_value() && *next <= barrier) {
-        active = true;
-        break;
-      }
-    }
-    if (active) {
-      round_units_.push_back(static_cast<int>(u));
+  round_loops_.clear();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    const auto next = slot.loop->NextEventTime();
+    if (next.has_value() && *next <= barrier) {
+      round_loops_.push_back(static_cast<int>(i));
     } else {
-      for (int s : units_[u]) {
-        Slot& slot = slots_[static_cast<size_t>(s)];
-        slot.loop->RunUntil(barrier);
-        slot.round_events = 0;
-      }
+      slot.loop->RunUntil(barrier);
+      slot.round_events = 0;
     }
   }
   const bool use_pool = threaded() && size() > 1;
   if (use_pool && workers_.empty()) {
     StartWorkers();
   }
-  // Hand the round to the pool only when it can pay for the hand-off: one active unit
+  // Hand the round to the pool only when it can pay for the hand-off: one active loop
   // can't be parallelized, and a round whose predecessor ran fewer than
   // kMinPooledRoundEvents events costs less to drive here than a publish + wakeup +
   // barrier wait. The previous round's total is a virtual-time quantity, and which
-  // thread drives a unit never changes its events, so the choice is invisible to
+  // thread drives a loop never changes its events, so the choice is invisible to
   // determinism.
-  const bool pooled = use_pool && round_units_.size() > 1 &&
+  const bool pooled = use_pool && round_loops_.size() > 1 &&
                       last_round_events_ >= kMinPooledRoundEvents;
-  if (round_units_.empty()) {
+  if (round_loops_.empty()) {
     metrics_.GetCounter("rounds_idle").Increment();
   } else if (!pooled) {
-    for (int unit : round_units_) {
-      DriveUnit(unit, barrier);
+    for (int index : round_loops_) {
+      DriveLoop(index, barrier);
     }
     if (use_pool) {
       metrics_.GetCounter("rounds_inline").Increment();
@@ -526,7 +437,9 @@ void LoopGroup::RunRound(SimTime barrier) {
     metrics_.GetCounter("rounds_threaded").Increment();
   }
   RecordRoundStats();
-  if (options_.adaptive_quantum && barrier - now_ > options_.quantum) {
+  // Width from the planner's start, not from now_: RunAll starts the planner at the
+  // next pending activity, and the idle stretch it skips is no adaptive widening.
+  if (options_.adaptive_quantum && barrier - from > options_.quantum) {
     metrics_.GetCounter("rounds_widened").Increment();
   }
   now_ = barrier;
@@ -538,7 +451,7 @@ void LoopGroup::RunRound(SimTime barrier) {
   }
   // Between rounds, after the clock advance: no loop is executing, so a due driver
   // task sees the same quiesced state the sequential driver would — the contract that
-  // lets control loops mutate placement and membership safely.
+  // lets control loops change membership and knobs safely.
   RunDueDriverTasks();
 }
 
@@ -581,7 +494,7 @@ SimTime LoopGroup::NextBarrier(SimTime from, SimTime limit) {
 
 void LoopGroup::RunUntil(SimTime until) {
   while (now_ < until) {
-    RunRound(NextBarrier(now_, until));
+    RunRound(now_, NextBarrier(now_, until));
   }
 }
 
@@ -605,7 +518,7 @@ void LoopGroup::RunAll() {
       return;
     }
     const SimTime from = std::max(*earliest, now_);
-    RunRound(NextBarrier(from, std::numeric_limits<SimTime>::max()));
+    RunRound(from, NextBarrier(from, std::numeric_limits<SimTime>::max()));
   }
 }
 

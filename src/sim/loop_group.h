@@ -32,20 +32,18 @@
 //
 // Scheduling model: `threads = K` means T = min(K, loops) threads drive rounds in
 // total — the calling (driver) thread plus T - 1 persistent workers. Within a pooled
-// round each thread first drives its home claim units (unit u belongs to thread u mod
-// T; units are normally single loops, temporarily fused groups of loops during a
-// migration window — see FuseLanes), so a loop's working set stays in one core's cache
-// round after round. Then it steals any unit still unclaimed, so one hot loop never
-// serializes the rest of its owner's share. Claiming only changes *which thread*
-// drives a unit, never a loop's own event order, so determinism is untouched. Waiting
-// threads spin for about a millisecond before parking, and skip the spin when the T
-// threads outnumber the cores.
+// round each thread first drives its home loops (loop i belongs to thread i mod T), so
+// a loop's working set stays in one core's cache round after round. Then it steals any
+// loop still unclaimed, so one hot loop never serializes the rest of its owner's
+// share. Claiming only changes *which thread* drives a loop, never its own event
+// order, so determinism is untouched. Waiting threads spin for about a millisecond
+// before parking, and skip the spin when the T threads outnumber the cores.
 //
 // Cost gate: handing a round to the pool costs a publish, a wakeup and a barrier wait,
 // which dwarfs a round of a few dozen events. A round therefore goes to the pool only
-// when it has at least two active units AND the previous round ran at least
+// when it has at least two active loops AND the previous round ran at least
 // kMinPooledRoundEvents events in total; every other round is driven inline by the
-// driver in unit order. Units with no events due are advanced inline too (advancing an
+// driver in loop order. Loops with no events due are advanced inline too (advancing an
 // eventless loop runs no user code). Inline rounds cost no wakeup, no barrier wait and
 // no allocation. Because the gate reads a virtual-time quantity and the driving thread
 // never affects events, the event order, barrier schedule and every virtual metric are
@@ -120,8 +118,8 @@ class LoopGroup {
 
   // Driver-side virtual-time task: runs on the DRIVER thread at the first barrier at
   // or after max(when, Now()) — i.e. between rounds, never while any loop executes —
-  // so it may safely call the between-rounds APIs (FuseLanes, Post, live membership
-  // changes on hosted stacks) and re-invoke ScheduleDriverTask to repeat, which is how
+  // so it may safely call the between-rounds APIs (Post, live membership changes on
+  // hosted stacks) and re-invoke ScheduleDriverTask to repeat, which is how
   // a periodic control loop rides the substrate. Due tasks run in (when, submission)
   // order. Under adaptive quanta a pending task clamps the round horizon like any
   // other activity, so it fires at its exact virtual time; the fire schedule is a pure
@@ -141,19 +139,6 @@ class LoopGroup {
 
   // Runs rounds until no loop has pending events and the channel is empty.
   void RunAll();
-
-  // Fuses the given slots into one claim unit until virtual time `until`: within each
-  // round the fused loops are driven by a single thread in ascending slot order —
-  // exactly the sequential driver's order, so fusion is invisible to determinism.
-  // Used as the safety window for live shard migration: while a node's old and new
-  // lanes are fused, work one lane schedules onto the other mid-round stays
-  // single-threaded. Driver-thread only, between rounds; `until` must be > Now().
-  // Overlapping fusions merge transitively; the fusion dissolves at the first barrier
-  // at or past `until`.
-  void FuseLanes(const std::vector<int>& lanes, SimTime until);
-
-  // Fusion windows currently in force (observability for tests).
-  int active_fusions() const { return static_cast<int>(fusions_.size()); }
 
   // The group's uniform virtual time (every attached loop's Now() between rounds).
   SimTime Now() const { return now_; }
@@ -186,11 +171,13 @@ class LoopGroup {
   // barrier (driver-thread reads only):
   //   "rounds_threaded"          rounds executed through the worker pool
   //   "rounds_inline"            threaded-mode rounds driven by the driver without
-  //                              waking the pool: <= 1 active unit, or a previous
+  //                              waking the pool: <= 1 active loop, or a previous
   //                              round below kMinPooledRoundEvents
   //   "rounds_idle"              rounds where no loop had an event due (clock advance
   //                              only — the quiescent case adaptive quanta compress)
-  //   "rounds_widened"           adaptive rounds wider than the base quantum
+  //   "rounds_widened"           adaptive rounds whose barrier lies more than one base
+  //                              quantum past the planner's start; RunAll's skip over
+  //                              idle time to the next activity does not count
   //   "loop_events_highwater"    most events one loop processed within a single round
   //   "round_events_highwater"   most events all loops processed within a single round
   //   "barrier_wait_ns"          total real time the driver spent blocked at barriers
@@ -200,12 +187,6 @@ class LoopGroup {
   //                              passed and was clamped to the barrier (the latency
   //                              cost of quantum width)
   const MetricRegistry& metrics() const { return metrics_; }
-
-  // Cross-loop messages delivered *to* slot `target` so far (driver-thread only).
-  // Feed for placement decisions alongside per-loop events_processed().
-  int64_t slot_delivered_messages(int target) const {
-    return slots_[static_cast<size_t>(target)].delivered_messages;
-  }
 
   // Zeroes every metrics() counter (driver-thread only, between rounds). Benches call
   // this after warmup so per-phase numbers aren't cumulative. rounds()/clock state and
@@ -229,18 +210,11 @@ class LoopGroup {
     uint64_t post_seq = 0;  // messages sent *by* this loop (driving thread only)
     int64_t round_events = 0;  // events this loop ran last round (its driver writes,
                                // the group driver reads after the barrier)
-    int64_t delivered_messages = 0;  // cross-loop messages delivered TO this loop
-                                     // (driver writes at drains)
     // Outbox runs: outbox[target] holds the messages this loop posted to `target`
     // since the last drain. Written only by the one thread driving this loop within a
     // round, read by the driver at the barrier — no lock anywhere on the send path.
     // Runs keep their capacity across drains, so steady-state sends allocate nothing.
     std::vector<std::vector<Message>> outbox;
-  };
-
-  struct Fusion {
-    std::vector<int> lanes;  // sorted, >= 2 entries
-    SimTime until = 0;
   };
 
   struct DriverTask {
@@ -250,14 +224,14 @@ class LoopGroup {
   };
 
   // Runs every loop to `barrier` (sequentially or via the worker pool), then delivers
-  // all queued cross-loop messages and advances the group clock.
-  void RunRound(SimTime barrier);
+  // all queued cross-loop messages and advances the group clock. `from` is where the
+  // planner started the round (NextBarrier's `from`), which is what rounds_widened
+  // measures the round's width against.
+  void RunRound(SimTime from, SimTime barrier);
   // Next round's barrier starting from `from`, capped at `limit`: from + quantum, or
   // the activity-following adaptive width (see file comment).
   SimTime NextBarrier(SimTime from, SimTime limit);
   void DriveLoop(int index, SimTime barrier);
-  // Drives a claim unit's loops in ascending slot order (the sequential order).
-  void DriveUnit(int unit_index, SimTime barrier);
   void DrainChannel();
   // Earliest pending cross-loop delivery, as seen from `from` (deliveries never land
   // in the past); returns false if the channel is empty. Driver-thread only.
@@ -266,15 +240,13 @@ class LoopGroup {
   // driver after a round's clock advance; a task may schedule further tasks, which run
   // in this same drain if already due.
   void RunDueDriverTasks();
-  // Drops expired fusions and rebuilds units_ if the fusion set changed.
-  void ExpireFusions();
-  void RebuildUnits();
   void StartWorkers();
   void WorkerMain(int worker_index);
-  // Claims `unit` for round `gen`; true if the caller won it (claims are exclusive).
-  bool TryClaim(int unit, uint64_t gen);
+  // Claims loop `index` for round `gen`; true if the caller won it (claims are
+  // exclusive).
+  bool TryClaim(int index, uint64_t gen);
   // Drives thread `thread`'s share of a pooled round (the driver is thread 0, worker w
-  // is thread w + 1): its home units first, then any unit still unclaimed.
+  // is thread w + 1): its home loops first, then any loop still unclaimed.
   void DriveRoundShare(int thread, uint64_t gen, SimTime barrier);
   void RecordRoundStats();
   // Counter-as-high-water: bumps `name` up to `candidate` if it is a new maximum.
@@ -295,13 +267,9 @@ class LoopGroup {
   uint64_t external_seq_ = 0;
   std::vector<std::vector<Message>> external_outbox_;
 
-  // Claim units. units_ is the stable partition (singletons unless fused);
-  // round_units_ holds the indices of units with work due this round, in unit order.
-  // Both are written by the driver before a round is published and read-only during it.
-  std::vector<std::vector<int>> units_;
-  bool units_dirty_ = true;
-  std::vector<Fusion> fusions_;
-  std::vector<int> round_units_;
+  // Indices of the loops with work due this round, ascending. Written by the driver
+  // before a round is published and read-only during it.
+  std::vector<int> round_loops_;
 
   // Pending driver tasks (driver-thread only; unsorted, drained by RunDueDriverTasks).
   std::vector<DriverTask> driver_tasks_;
@@ -326,7 +294,7 @@ class LoopGroup {
   std::vector<std::thread> workers_;
 
   // Spin-then-park barrier. The driver publishes a round by bumping round_gen_
-  // (release) after writing round_barrier_/round_units_/workers_active_;
+  // (release) after writing round_barrier_/round_loops_/workers_active_;
   // workers spin on round_gen_ (acquire) and park on worker_cv_ when the budget runs
   // out. Completion runs through workers_active_: each worker fetch_subs (acq_rel) so
   // the RMW release sequence hands every worker's round writes to the driver's final
@@ -341,10 +309,10 @@ class LoopGroup {
   int parked_workers_ = 0;     // under park_mu_
   bool driver_parked_ = false;  // under park_mu_
 
-  // Per-unit claim stamps, indexed by unit: a thread claims a unit for a round by
-  // exchanging in that round's generation. Generations only grow, so stamps never need
-  // a reset; sized to size() (an upper bound on the unit count) when workers start.
-  std::vector<std::atomic<uint64_t>> unit_claims_;
+  // Per-loop claim stamps: a thread claims a loop for a round by exchanging in that
+  // round's generation. Generations only grow, so stamps never need a reset; sized to
+  // size() when workers start.
+  std::vector<std::atomic<uint64_t>> loop_claims_;
 };
 
 }  // namespace icg

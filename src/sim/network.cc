@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/sim/loop_group.h"
 
@@ -47,34 +46,6 @@ void Network::PlaceNode(NodeId node, int slot) {
   assert(slot >= 0 && slot < group_->size());
   placement_[node] = slot;
   EnsureShard(slot);
-}
-
-void Network::MigrateNode(NodeId node, int slot) {
-  assert(group_ != nullptr && "BindGroup before MigrateNode");
-  assert(slot >= 0 && slot < group_->size());
-  const int old_slot = SlotOf(node);
-  if (old_slot == slot) {
-    return;
-  }
-  Shard& to = EnsureShard(slot);
-  Shard& from = *shards_[static_cast<size_t>(old_slot)];
-  // Carry the node's *outgoing* link state with it. The FIFO clamps must merge by max:
-  // forgetting a link's last delivery time would let a post-move message overtake one
-  // still in flight from before the move.
-  const auto low = std::make_pair(node, std::numeric_limits<NodeId>::min());
-  for (auto it = from.last_delivery.lower_bound(low);
-       it != from.last_delivery.end() && it->first.first == node;
-       it = from.last_delivery.erase(it)) {
-    SimTime& clamp = to.last_delivery[it->first];
-    clamp = std::max(clamp, it->second);
-  }
-  for (auto it = from.sent.lower_bound(low);
-       it != from.sent.end() && it->first.first == node; it = from.sent.erase(it)) {
-    LinkStats& stats = to.sent[it->first];
-    stats.bytes += it->second.bytes;
-    stats.messages += it->second.messages;
-  }
-  placement_[node] = slot;
 }
 
 int Network::SlotOf(NodeId node) const {

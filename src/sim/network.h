@@ -72,14 +72,6 @@ class Network {
   // harness rebinds each placed component's timers/service queue via its RebindLoop.
   void BindGroup(LoopGroup* group);
   void PlaceNode(NodeId node, int slot);
-  // Live re-placement for stats-driven rebalancing: moves `node` to `slot` *after*
-  // traffic has flowed. The node's outgoing FIFO clamps move with it (merged by max,
-  // so a link never un-learns its last delivery time and FIFO order survives the
-  // move), as do its per-link send counters. Driver-thread only, between rounds; the
-  // caller pairs this with the component's MigrateLoop and a fused-lane window.
-  // Jitter RNG draws come from the new shard's stream afterwards — placement changes
-  // the (deterministic) schedule, exactly like any topology decision would.
-  void MigrateNode(NodeId node, int slot);
   // The LoopGroup slot `node` lives on (the home slot unless placed). 0 when unbound.
   int SlotOf(NodeId node) const;
   // The loop driving `node`: group->loop(SlotOf(node)) when bound, else the home loop.

@@ -35,18 +35,6 @@ class ServiceQueue {
     loop_ = loop;
   }
 
-  // Live-migration variant of RebindLoop: moves the server onto another loop *with
-  // work possibly in flight*. Completions already scheduled keep running on the old
-  // loop (their closures only touch this object); new submissions land on the new
-  // loop. Safe only while the old and new lanes are fused into one claim unit (see
-  // LoopGroup::FuseLanes) or between rounds — otherwise two threads could run this
-  // server's completions concurrently. Submit computes start times from the *target*
-  // loop's clock, so a completion is never scheduled into the new loop's past.
-  void MigrateLoop(EventLoop* loop) {
-    assert(loop != nullptr);
-    loop_ = loop;
-  }
-
   // Abandons every in-flight job (kill -9 of the server): their completion callbacks
   // never run and never count, and the server is immediately idle for new work. The
   // completion events already scheduled on the loop stay there but no-op — cancelling

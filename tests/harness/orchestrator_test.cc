@@ -186,20 +186,11 @@ TEST(OrchestratorPolicy, ScaleInRespectsMinCoordinators) {
   }
 }
 
-TEST(OrchestratorPolicy, LadderTopAndExternalActionsShareTheCooldown) {
+TEST(OrchestratorPolicy, SaturationAtTheLadderTopTakesNoAction) {
   OrchestratorPolicy policy(FastOptions());
   // Topped-out ladder: saturation without sheds has no action left to take.
   const auto saturated = Sample({{100, 0.5}, {100, 0.5}}, 0, 2, /*window_index=*/3);
   EXPECT_EQ(policy.Decide(saturated).kind, ControlActionKind::kNone);
-  // An external action (placement move) starts the shared cooldown: the next interval
-  // may not emit even though its own conditions hold.
-  policy.NoteExternalAction();
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
-            ControlActionKind::kNone);
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
-            ControlActionKind::kNone);
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
-            ControlActionKind::kWidenWindow);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,14 @@ std::string RunTrial(int threads, uint64_t seed, bool adaptive = false) {
   Rng rng(seed * 41);
   ScheduleRandomLoad(trial, rng, {0, Seconds(2), kOps, kKeys, "ikey"});
 
+  if (adaptive) {
+    // The load window runs under RunUntil, as a deployment driven to a deadline is:
+    // each round's planner starts at the group clock and widens over quiet stretches.
+    // RunAll alone would start every round at the next pending activity, where the
+    // adaptive barrier is from + quantum, the fixed schedule.
+    group.RunUntil(Seconds(2));
+    EXPECT_GT(group.metrics().Value("rounds_widened"), 0);
+  }
   group.RunAll();
   EXPECT_EQ(group.pending_messages(), 0u);
   // The placement must have been exercised: client<->coordinator flows cross loops.
@@ -179,117 +186,13 @@ TEST(IntraWorldOracle, WidthsAgreeBitForBit) {
 
 // Adaptive quanta under the full deployment: the same trial with round widths chasing
 // the earliest pending activity. The fingerprint includes the exact barrier schedule,
-// so this fails if adaptation ever consults anything but virtual-time state.
+// so this fails if adaptation ever consults anything but virtual-time state. It must
+// also differ from the fixed-quantum fingerprint: a trial that never widens a round
+// would check the fixed schedule a second time.
 TEST(IntraWorldOracle, AdaptiveQuantaAgreeBitForBit) {
   const uint64_t seed = SeedFromEnv();
   ExpectWidthsAgree([seed](int threads) { return RunTrial(threads, seed, /*adaptive=*/true); });
-}
-
-// Stats-driven live rebalancing: 4 coordinators packed onto 3 lanes (max_lanes), all
-// client load aimed at keys one co-tenant coordinator owns. The PlacementAdvisor must
-// notice the hot lane from virtual-time counters and RebalanceShardPlacement must
-// migrate the hot coordinator to the cold lane mid-run — between rounds, under a
-// fused-lane drain window — without losing a message or an oracle property. The moves
-// and the full outcome fingerprint must be identical at every width.
-std::string RunRebalanceTrial(int threads, uint64_t seed) {
-  SCOPED_TRACE("rebalance threads=" + std::to_string(threads) +
-               " seed=" + std::to_string(seed));
-  LoopGroup group({.threads = threads, .quantum = Millis(2)});
-  ShardedTrial trial(seed * 17, kCoordinators, kRegions4);
-
-  IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, trial.stack, /*max_lanes=*/3);
-  EXPECT_EQ(placement.lane_slots.size(), 3u);
-  EXPECT_EQ(placement.replica_slots.size(), static_cast<size_t>(kCoordinators));
-  // Round-robin packing: replicas 0 and 3 share lane 0 — co-tenancy is what gives the
-  // advisor something to split.
-  EXPECT_EQ(placement.replica_slots[0], placement.replica_slots[3]);
-
-  // Aim every operation at keys PRIMARY-owned by replica 0, the lane-0 co-tenant: its
-  // coordination work (plus replica 3's replication echo) makes lane 0 the hot lane.
-  const auto& replicas = trial.stack.cluster->replicas();
-  const NodeId hot_id = replicas[0]->id();
-  std::vector<std::string> hot_keys;
-  for (int k = 0; k < 400 && hot_keys.size() < 12; ++k) {
-    const std::string key = "rebal" + std::to_string(k);
-    if (trial.stack.shard_map().PrimaryFor(key) == hot_id) {
-      hot_keys.push_back(key);
-    }
-  }
-  EXPECT_GE(hot_keys.size(), 3u);
-  if (hot_keys.size() < 3) return "no-hot-keys";
-  for (const std::string& key : hot_keys) {
-    trial.stack.cluster->Preload(key, "init");
-  }
-
-  // The op schedule leaves a deliberate 300ms breather at [1.4s, 1.7s): a live
-  // migration needs an instant where the hot coordinator has no read in flight, and
-  // under continuous load every sample could catch it mid-quorum. Real rebalancers
-  // have the same constraint — they move shards in lulls, not mid-request.
-  Rng rng(seed * 29);
-  int writes = 0;
-  for (int i = 0; i < kOps; ++i) {
-    RandomOp op;
-    op.at = static_cast<SimDuration>(rng.NextBounded(Seconds(3) - Millis(300)));
-    if (op.at >= Millis(1400)) op.at += Millis(300);
-    op.client = static_cast<size_t>(rng.NextBounded(kClients));
-    const bool is_write = rng.NextBool(0.3);
-    size_t key_index = static_cast<size_t>(rng.NextBounded(hot_keys.size()));
-    if (is_write) {
-      // Key-partitioned writes per client keep per-key program order checkable.
-      key_index = (key_index / kClients) * kClients + op.client;
-      if (key_index >= hot_keys.size()) key_index = op.client % hot_keys.size();
-      op.kind = OpKind::kWrite;
-      op.value = "c" + std::to_string(op.client) + "-" + std::to_string(writes++);
-    }
-    op.key = hot_keys[key_index];
-    ScheduleOp(trial.checker, trial.world.loop(), *trial.clients[op.client], op);
-  }
-
-  // Sample-and-rebalance between rounds; the 1550ms sample lands inside the load
-  // breather, where the hot coordinator is guaranteed migratable and the preceding
-  // interval still carries the full skew. The advisor sees only virtual counters, so
-  // which interval moves what is width-independent by construction. No cooldown: a
-  // move advised while the target is mid-quorum is dropped, and the advisor must be
-  // free to re-advise it at the very next sample.
-  PlacementAdvisorOptions advisor_options;
-  advisor_options.hot_ratio = 1.2;
-  advisor_options.min_total_load = 64;
-  advisor_options.cooldown_intervals = 0;
-  PlacementAdvisor advisor(advisor_options);
-  std::vector<PlacementMove> applied;
-  for (const int tick_ms : {500, 1000, 1550, 2000, 2500, 3000, 3500}) {
-    group.RunUntil(Millis(tick_ms));
-    const auto moves =
-        RebalanceShardPlacement(group, trial.world, trial.stack, placement, advisor);
-    applied.insert(applied.end(), moves.begin(), moves.end());
-  }
-  group.RunAll();
-  // A move at the final tick leaves its drain fusion pending; run past the window so
-  // it dissolves (fusions expire at the first barrier at or past their deadline).
-  group.RunUntil(Millis(3500) + Millis(400));
-  EXPECT_EQ(group.pending_messages(), 0u);
-  EXPECT_GT(group.metrics().Value("channel_messages"), 0);
-  EXPECT_EQ(group.active_fusions(), 0);
-
-  // The skew must actually have provoked at least one live migration.
-  EXPECT_GE(applied.size(), 1u);
-  // Program order survives the migration: every replica converged to the last
-  // submitted write per key even though its coordinator changed lanes mid-run.
-  ExpectKvContract(trial, "rebalance");
-
-  std::ostringstream out;
-  out << trial.checker.Fingerprint() << "|moves:";
-  for (const PlacementMove& move : applied) {
-    out << move.entity << ":" << move.from_slot << ">" << move.to_slot << ";";
-  }
-  out << "|rounds" << group.rounds() << "|sched" << group.barrier_schedule_hash();
-  return out.str();
-}
-
-TEST(IntraWorldOracle, RebalanceMigratesHotShardAcrossWidths) {
-  const uint64_t seed = SeedFromEnv();
-  ExpectWidthsAgree([seed](int threads) { return RunRebalanceTrial(threads, seed); });
+  EXPECT_NE(RunTrial(/*threads=*/0, seed, /*adaptive=*/true), RunTrial(/*threads=*/0, seed));
 }
 
 }  // namespace

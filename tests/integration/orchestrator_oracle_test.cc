@@ -43,41 +43,31 @@ constexpr int kClients = 3;
 constexpr size_t kQueueLimit = 8;
 constexpr SimDuration kRetryBackoff = Millis(50);
 
-std::string RunAutoscaleTrial(int threads, uint64_t seed) {
-  SCOPED_TRACE("autoscale threads=" + std::to_string(threads) +
-               " seed=" + std::to_string(seed));
-  LoopGroup group({.threads = threads, .quantum = Millis(2)});
-  // The ONE sanctioned terminal error is a retryable overload shed — backpressure is
-  // how the deployment signals the controller, so the oracle admits it (and the
-  // workload retries it) but nothing else may fail.
-  ShardedTrial trial(seed * 19, kStartCoordinators, kRegions5, BatchConfig{}, KvConfig{},
-                     AllowedErrors::kOverloadOnly);
-  int64_t shed_attempts = 0;
-  trial.stack.SetShardQueueLimit(kQueueLimit);
-  trial.Preload("akey", kKeys);
+// The ONE sanctioned terminal error is a retryable overload shed — backpressure is how
+// the deployment signals the controller, so the oracle admits it (and the workload
+// retries it) but nothing else may fail.
+struct AutoscaleTrial : ShardedTrial {
+  explicit AutoscaleTrial(uint64_t seed)
+      : ShardedTrial(seed * 19, kStartCoordinators, kRegions5, BatchConfig{}, KvConfig{},
+                     AllowedErrors::kOverloadOnly) {
+    stack.SetShardQueueLimit(kQueueLimit);
+    Preload("akey", kKeys);
+  }
+};
 
-  IntraWorldPlacement placement =
-      PlaceShardsAcrossLoops(group, trial.world, trial.stack);
-  EXPECT_EQ(group.size(), kReplicas + 1);
+// min_coordinators = kStartCoordinators gives the scale-in cascade a floor the episode
+// must return to.
+OrchestratorOptions AutoscaleOptions() {
+  OrchestratorOptions options;
+  options.min_coordinators = kStartCoordinators;
+  return options;
+}
 
-  // The controller under test. min_coordinators = kStartCoordinators gives the
-  // scale-in cascade a floor the episode must return to; the placement leg runs with
-  // deliberately conservative thresholds — migration behaviour has its own oracle
-  // (IntraWorldOracle.RebalanceMigratesHotShardAcrossWidths), here it only needs to
-  // ride the idle intervals without perturbing the episode.
-  OrchestratorOptions orch_options;
-  orch_options.min_coordinators = kStartCoordinators;
-  Orchestrator orchestrator(&group, &trial.world, &trial.stack, orch_options);
-  PlacementAdvisorOptions advisor_options;
-  advisor_options.hot_ratio = 4.0;
-  advisor_options.min_total_load = 1 << 20;
-  orchestrator.EnablePlacement(&placement, advisor_options);
-  orchestrator.Start();
-  EXPECT_EQ(orchestrator.window_index(), 0u);  // batching starts disabled (rung 0)
-
-  // Offered load: ~80 ops/s for 2s, a 10x ramp (~800 ops/s) for 1.5s, then ~80 ops/s
-  // again for 2s. Writes are key-partitioned per client so per-key program order stays
-  // a checkable invariant even with shed-and-retry in the mix.
+// Offered load: ~80 ops/s for 2s, a 10x ramp (~800 ops/s) for 1.5s, then ~80 ops/s
+// again for 2s. Writes are key-partitioned per client so per-key program order stays a
+// checkable invariant even with shed-and-retry in the mix. Each shed retry bumps
+// `shed_attempts`.
+void ScheduleRamp(ShardedTrial& trial, uint64_t seed, int64_t& shed_attempts) {
   const LoadShape phases[] = {
       {0, Seconds(2), 160, kKeys, "akey"},
       {Seconds(2), Millis(1500), 1200, kKeys, "akey"},
@@ -99,6 +89,22 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
       });
     }
   }
+}
+
+std::string RunAutoscaleTrial(int threads, uint64_t seed) {
+  SCOPED_TRACE("autoscale threads=" + std::to_string(threads) +
+               " seed=" + std::to_string(seed));
+  LoopGroup group({.threads = threads, .quantum = Millis(2)});
+  AutoscaleTrial trial(seed);
+  int64_t shed_attempts = 0;
+
+  PlaceShardsAcrossLoops(group, trial.world, trial.stack);
+  EXPECT_EQ(group.size(), kReplicas + 1);
+
+  Orchestrator orchestrator(&group, &trial.stack, AutoscaleOptions());
+  orchestrator.Start();
+  EXPECT_EQ(orchestrator.window_index(), 0u);  // batching starts disabled (rung 0)
+  ScheduleRamp(trial, seed, shed_attempts);
 
   // Drive well past the load so the controller can finish the whole episode: widen and
   // scale out through the ramp, then shrink and scale back in as the ring cools.
@@ -168,6 +174,35 @@ std::string RunAutoscaleTrial(int threads, uint64_t seed) {
 TEST(OrchestratorOracle, ControlDecisionsAreBitIdenticalAcrossWidths) {
   const uint64_t seed = SeedFromEnv();
   ExpectWidthsAgree([seed](int threads) { return RunAutoscaleTrial(threads, seed); });
+}
+
+// A scale-out promotes only a live spare. Replica 2, the first spare in cluster order,
+// crashes before the controller starts; the ramp's scale-outs must pass over it. The
+// crashed replica misses writes, so the check is the controller's choice, not the KV
+// contract.
+TEST(OrchestratorOracle, ScaleOutSkipsCrashedSpares) {
+  const uint64_t seed = SeedFromEnv();
+  LoopGroup group({.threads = 0, .quantum = Millis(2)});
+  AutoscaleTrial trial(seed);
+  int64_t shed_attempts = 0;
+  PlaceShardsAcrossLoops(group, trial.world, trial.stack);
+  const NodeId crashed = trial.stack.cluster->replicas()[2]->id();
+  trial.stack.CrashCoordinator(crashed);
+
+  Orchestrator orchestrator(&group, &trial.stack, AutoscaleOptions());
+  orchestrator.Start();
+  ScheduleRamp(trial, seed, shed_attempts);
+  group.RunUntil(Seconds(5));
+  orchestrator.Stop();
+
+  int scale_outs = 0;
+  for (const OrchestratorEvent& event : orchestrator.events()) {
+    if (event.kind == ControlActionKind::kScaleOut) {
+      ++scale_outs;
+      EXPECT_NE(event.detail, static_cast<size_t>(crashed)) << "promoted a crashed replica";
+    }
+  }
+  EXPECT_GE(scale_outs, 1);
 }
 
 }  // namespace

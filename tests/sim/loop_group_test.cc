@@ -250,8 +250,8 @@ TEST(LoopGroup, SequentialModeNeverStartsWorkers) {
 
 TEST(LoopGroup, ThreadedStartsBoundedWorkers) {
   // min(K, loops) - 1 workers (the driver is one of the K threads), created lazily on
-  // the first threaded round. Heavy chains on every loop keep several claim units
-  // active per round above the cost gate, so the pool actually runs rounds.
+  // the first threaded round. Heavy chains on every loop keep several loops active
+  // per round above the cost gate, so the pool actually runs rounds.
   LoopGroup::Options options;
   options.threads = 8;
   options.quantum = 500;
@@ -407,6 +407,44 @@ TEST(LoopGroup, WidenedHeavyRoundRunsOnThePoolBitForBit) {
   }
 }
 
+// One adaptive loop with events at t=0 and t=50000 (quantum 500, cap 20000). A round
+// counts as widened when its barrier lies more than one quantum past the planner's
+// start, so RunAll's jump over the idle stretch to the second event is no widening.
+struct WidenedProbe {
+  std::vector<SimTime> barriers;
+  int64_t rounds_widened = 0;
+};
+
+WidenedProbe RunWidenedProbe(bool run_all) {
+  LoopGroup::Options options;
+  options.quantum = 500;
+  options.adaptive_quantum = true;
+  options.max_quantum = 20000;
+  options.record_barrier_schedule = true;
+  Mesh mesh(1, options);
+  for (const SimDuration at : {SimDuration{0}, SimDuration{50000}}) {
+    mesh.loops[0]->Schedule(at, [&mesh]() { mesh.Record(0, "event"); });
+  }
+  if (run_all) {
+    mesh.group.RunAll();
+  } else {
+    mesh.group.RunUntil(50500);
+  }
+  EXPECT_EQ(mesh.traces[0].size(), 2u);
+  return {mesh.group.barrier_history(), mesh.group.metrics().Value("rounds_widened")};
+}
+
+TEST(LoopGroup, RoundsWidenedCountsOnlyRoundsWiderThanTheQuantum) {
+  // RunAll plans each round from the next pending event: [0, 500], then [50000, 50500].
+  const WidenedProbe run_all = RunWidenedProbe(/*run_all=*/true);
+  EXPECT_EQ(run_all.barriers, (std::vector<SimTime>{500, 50500}));
+  EXPECT_EQ(run_all.rounds_widened, 0);
+  // RunUntil plans from the group clock and crosses the gap in capped wide rounds.
+  const WidenedProbe run_until = RunWidenedProbe(/*run_all=*/false);
+  EXPECT_EQ(run_until.barriers, (std::vector<SimTime>{500, 20500, 40500, 50000, 50500}));
+  EXPECT_EQ(run_until.rounds_widened, 3);
+}
+
 TEST(LoopGroup, AdaptiveQuantumCompressesQuiescentStretches) {
   // Same workload, same deliveries — the event fingerprint must not change — but the
   // quiescent gap collapses into capped wide rounds instead of one barrier per quantum.
@@ -463,45 +501,6 @@ TEST(LoopGroup, ResetMetricsZeroesCountersButNotClockOrSchedule) {
   mesh.StartChain(1, /*hops=*/4, "chain1");
   mesh.group.RunAll();
   EXPECT_GE(mesh.group.metrics().Value("channel_messages"), 4);
-}
-
-// Heavy hops, so the threaded widths drive the fused unit through the pool.
-MeshRun RunFusedMesh(int threads) {
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = 500;
-  Mesh mesh(4, options);
-  mesh.burst = kHeavyBurst;
-  for (int i = 0; i < 4; ++i) {
-    mesh.StartChain(i, /*hops=*/20, "chain" + std::to_string(i));
-  }
-  mesh.group.RunUntil(2000);
-  // Fuse two busy lanes mid-run (the live-migration safety window) and let the window
-  // expire while traffic is still flowing.
-  mesh.group.FuseLanes({1, 3}, mesh.group.Now() + 3000);
-  EXPECT_EQ(mesh.group.active_fusions(), 1);
-  const int64_t pooled_before = mesh.group.metrics().Value("rounds_threaded");
-  mesh.group.RunUntil(4000);
-  MeshRun run;
-  // Rounds pooled while the fusion window was open.
-  run.rounds_threaded = mesh.group.metrics().Value("rounds_threaded") - pooled_before;
-  mesh.group.RunAll();
-  EXPECT_EQ(mesh.group.active_fusions(), 0);  // dissolved at the expiry barrier
-  run.fingerprint = mesh.Fingerprint();
-  return run;
-}
-
-TEST(LoopGroup, FusedLanesAreInvisibleToDeterminism) {
-  // A fused unit is driven by one thread in ascending slot order — the sequential
-  // order — so fusing lanes must not change any event history at any width.
-  const MeshRun sequential = RunFusedMesh(/*threads=*/0);
-  for (const int threads : {2, 4}) {
-    const MeshRun threaded = RunFusedMesh(threads);
-    EXPECT_EQ(threaded.fingerprint, sequential.fingerprint) << "threads=" << threads;
-    EXPECT_GT(threaded.rounds_threaded, 0) << "threads=" << threads;
-  }
-  // And it matches the unfused run.
-  EXPECT_EQ(sequential.fingerprint, RunMesh(4, /*threads=*/0, kHeavyBurst));
 }
 
 TEST(LoopGroup, ChannelMetricsCountInSequentialModeToo) {
