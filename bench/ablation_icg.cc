@@ -120,7 +120,7 @@ void AblateViewCount() {
                       "final view (ms)"});
   for (const auto& selection : selections) {
     SimWorld world(99);
-    auto stack = MakeNewsStack(world, PbConfig{});
+    auto stack = MakeNewsStack(world);
     for (int i = 0; i < 1000; ++i) {
       stack.cluster->Preload("news:" + std::to_string(i), std::string(256, 'n'));
     }

@@ -52,13 +52,13 @@ Measurement RunConfig(Region session, Region leader, uint64_t seed) {
   Measurement m;
   {
     SimWorld world(seed);
-    auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kIreland, session, leader);
+    auto stack = MakeZooKeeperStack(world, Region::kIreland, session, leader);
     m.zk = MeasureEnqueues(world, *stack.client, /*icg=*/false, nullptr);
     m.zk_bytes_per_op = static_cast<double>(stack.zab_client->LinkBytes()) / kOps;
   }
   {
     SimWorld world(seed + 1);
-    auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kIreland, session, leader);
+    auto stack = MakeZooKeeperStack(world, Region::kIreland, session, leader);
     LatencyRecorder prelim;
     m.czk_final = MeasureEnqueues(world, *stack.client, /*icg=*/true, &prelim);
     m.czk_prelim = prelim.Summarize();

@@ -27,7 +27,7 @@ struct Result {
 // getChildren listing size representative of the nominal queue size.
 Result RunContention(int64_t queue_size, int num_clients, bool czk, uint64_t seed) {
   SimWorld world(seed);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kIreland, Region::kFrankfurt,
+  auto stack = MakeZooKeeperStack(world, Region::kIreland, Region::kFrankfurt,
                                   Region::kIreland);
   const int64_t total_dequeues = 4LL * num_clients + 40;
   stack.cluster->PreloadQueue("q", queue_size + total_dequeues, "ticket");

@@ -40,7 +40,7 @@ struct RunStats {
 
 RunStats RunSale(bool czk, uint64_t seed) {
   SimWorld world(seed);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kFrankfurt, Region::kFrankfurt,
+  auto stack = MakeZooKeeperStack(world, Region::kFrankfurt, Region::kFrankfurt,
                                   Region::kIreland);
   TicketConfig ticket_config;
   ticket_config.event = "concert";

@@ -12,7 +12,7 @@ int main() {
   SimWorld world(3);
   // Primary in Virginia, backups in Ireland and Frankfurt; the phone is in Ireland and
   // reads weakly from the Irish backup.
-  auto stack = MakeNewsStack(world, PbConfig{});
+  auto stack = MakeNewsStack(world);
   NewsReader reader(stack.client.get());
 
   // Yesterday's stories are on every replica and in the phone's cache.

@@ -19,7 +19,7 @@ void PrintResult(const char* label, SimDuration latency, const View<OpResult>& v
 
 int main() {
   SimWorld world(11);
-  auto stack = MakeNewsStack(world, PbConfig{});  // cache + backup + primary binding
+  auto stack = MakeNewsStack(world);  // cache + backup + primary binding
   CorrectableClient& client = *stack.client;
 
   stack.cluster->Preload(MessagesKey(7), "msg1;msg2");

@@ -16,7 +16,7 @@ int main() {
   SimWorld world(13);
   // Retailers colocated with the FRK follower; leader in IRL (the paper's Figure 12
   // deployment).
-  auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kFrankfurt, Region::kFrankfurt,
+  auto stack = MakeZooKeeperStack(world, Region::kFrankfurt, Region::kFrankfurt,
                                   Region::kIreland);
 
   TicketConfig config;

@@ -13,15 +13,10 @@
 
 namespace icg {
 
-// Both hooks understand the batched shapes too: a kMultiGet view (or kMultiPut ack)
-// refreshes the cache entry by entry, so one batched round-trip leaves the cache exactly
-// as coherent as the per-key requests it replaced.
+// Single-key hooks: a kGet view refreshes its key, a kPut ack installs the written value
+// under the acknowledged version. The cache-backed bindings plan no batched operations.
 RefreshHook CacheReadRefresh(ClientCache* cache);
 RefreshHook CacheWriteRefresh(ClientCache* cache);
-
-// The cache-level view of a batched read: one entry per key in request order (see
-// MultiLookup).
-OpResult CacheMultiLookup(ClientCache* cache, const std::vector<std::string>& keys);
 
 }  // namespace icg
 

@@ -31,30 +31,6 @@ InvocationPlan CachedCausalBinding::PlanInvocation(const Operation& op,
       }
       plan.refresh = CacheReadRefresh(cache_);
       return plan;
-    case OpType::kMultiGet:
-      // Batched read: same level structure as kGet, one multi-key round-trip per level.
-      if (levels.Contains(ConsistencyLevel::kCache)) {
-        plan.AddStep(ConsistencyLevel::kCache,
-                     [cache = cache_](const Operation& get, LevelEmitter emit) {
-                       emit(ConsistencyLevel::kCache, CacheMultiLookup(cache, get.keys));
-                     });
-      }
-      if (levels.Contains(ConsistencyLevel::kCausal)) {
-        if (disconnected_) {
-          plan.AddStep(ConsistencyLevel::kCausal, [](const Operation&, LevelEmitter emit) {
-            emit(ConsistencyLevel::kCausal,
-                 Status::Unavailable("disconnected: causal store unreachable"));
-          });
-        } else {
-          plan.AddStep(ConsistencyLevel::kCausal,
-                       [client = client_](const Operation& get, LevelEmitter emit) {
-                         client->MultiRead(get.keys,
-                                           EmitAt(std::move(emit), ConsistencyLevel::kCausal));
-                       });
-        }
-      }
-      plan.refresh = CacheReadRefresh(cache_);
-      return plan;
     case OpType::kPut:
       if (disconnected_) {
         return InvocationPlan::Rejected(
@@ -63,19 +39,6 @@ InvocationPlan CachedCausalBinding::PlanInvocation(const Operation& op,
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
         client->Write(put.key, put.value, EmitAt(std::move(emit), level));
-      });
-      plan.refresh = CacheWriteRefresh(cache_);
-      return plan;
-    case OpType::kMultiPut:
-      // Batched flush: rejected while disconnected — the pipeline fans the rejection to
-      // exactly the writes queued in this batch.
-      if (disconnected_) {
-        return InvocationPlan::Rejected(
-            Status::Unavailable("disconnected: causal store unreachable"));
-      }
-      plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
-                                           const Operation& puts, LevelEmitter emit) {
-        client->MultiWrite(puts.keys, puts.values, EmitAt(std::move(emit), level));
       });
       plan.refresh = CacheWriteRefresh(cache_);
       return plan;

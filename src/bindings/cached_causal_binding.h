@@ -25,12 +25,9 @@ class CachedCausalBinding : public Binding {
     return {ConsistencyLevel::kCache, ConsistencyLevel::kCausal};
   }
 
+  // Plans single-key operations only, so with a batch window open this binding's reads
+  // and writes still take the pipeline's same-tick path.
   InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override;
-
-  // Backed by CausalReplica's multi-key read/write handlers, so cross-tick batches flush
-  // as one round-trip instead of one per key.
-  bool SupportsBatchedReads() const override { return true; }
-  bool SupportsBatchedWrites() const override { return true; }
 
   // Disconnected operation: reads resolve from cache only; writes fail fast.
   void SetDisconnected(bool disconnected) { disconnected_ = disconnected; }

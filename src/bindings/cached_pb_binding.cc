@@ -31,45 +31,12 @@ InvocationPlan CachedPbBinding::PlanInvocation(const Operation& op, const LevelS
       }
       plan.refresh = CacheReadRefresh(cache_);
       return plan;
-    case OpType::kMultiGet:
-      // Batched read: the same per-level fan-out as kGet, each level one multi-key
-      // round-trip whose result carries one entry per key in request order.
-      if (levels.Contains(ConsistencyLevel::kCache)) {
-        plan.AddStep(ConsistencyLevel::kCache,
-                     [cache = cache_](const Operation& get, LevelEmitter emit) {
-                       emit(ConsistencyLevel::kCache, CacheMultiLookup(cache, get.keys));
-                     });
-      }
-      if (levels.Contains(ConsistencyLevel::kWeak)) {
-        plan.AddStep(ConsistencyLevel::kWeak,
-                     [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->MultiReadWeak(get.keys,
-                                             EmitAt(std::move(emit), ConsistencyLevel::kWeak));
-                     });
-      }
-      if (levels.Contains(ConsistencyLevel::kStrong)) {
-        plan.AddStep(ConsistencyLevel::kStrong,
-                     [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->MultiReadStrong(
-                           get.keys, EmitAt(std::move(emit), ConsistencyLevel::kStrong));
-                     });
-      }
-      plan.refresh = CacheReadRefresh(cache_);
-      return plan;
     case OpType::kPut:
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
         client->Write(put.key, put.value, EmitAt(std::move(emit), level));
       });
       // Write-through: the pipeline refreshes the cache only when the store acknowledges.
-      plan.refresh = CacheWriteRefresh(cache_);
-      return plan;
-    case OpType::kMultiPut:
-      // Batched flush: the primary applies the entries in order and acknowledges once.
-      plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
-                                           const Operation& puts, LevelEmitter emit) {
-        client->MultiWrite(puts.keys, puts.values, EmitAt(std::move(emit), level));
-      });
       plan.refresh = CacheWriteRefresh(cache_);
       return plan;
     default:

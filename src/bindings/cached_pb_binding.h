@@ -29,12 +29,9 @@ class CachedPbBinding : public Binding {
     return {ConsistencyLevel::kCache, ConsistencyLevel::kWeak, ConsistencyLevel::kStrong};
   }
 
+  // Plans single-key operations only, so with a batch window open this binding's reads
+  // and writes still take the pipeline's same-tick path.
   InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override;
-
-  // Backed by PbNode's multi-key read/write handlers, so cross-tick batches flush as one
-  // round-trip per level instead of one per key.
-  bool SupportsBatchedReads() const override { return true; }
-  bool SupportsBatchedWrites() const override { return true; }
 
  private:
   PbClient* client_;

@@ -2,134 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <optional>
 #include <utility>
 
 namespace icg {
-namespace {
-
-// One shard's slice of a cross-shard multiget: the sub-keys it owns and their positions
-// in the original key list (for placing the shard's entries in request order).
-struct ShardSlice {
-  size_t shard = 0;
-  std::vector<std::string> keys;
-  std::vector<size_t> positions;
-};
-
-std::vector<ShardSlice> SliceByShard(const BindingRouter& router,
-                                     const std::vector<std::string>& keys) {
-  std::vector<ShardSlice> slices;
-  std::map<size_t, size_t> slice_of_shard;  // shard index -> slices_ position
-  for (size_t pos = 0; pos < keys.size(); ++pos) {
-    const size_t shard = router.ShardIndexFor(keys[pos]);
-    auto [it, inserted] = slice_of_shard.emplace(shard, slices.size());
-    if (inserted) {
-      slices.push_back(ShardSlice{shard, {}, {}});
-    }
-    slices[it->second].keys.push_back(keys[pos]);
-    slices[it->second].positions.push_back(pos);
-  }
-  return slices;
-}
-
-// Per-level merge state of one scatter-gather: every shard's response at that level,
-// completed (and emitted) once no slot is outstanding.
-struct LevelGather {
-  std::vector<std::optional<StatusOr<OpResult>>> slots;  // per slice
-  std::vector<bool> confirmed;
-  size_t outstanding = 0;
-};
-
-// Shared state of one cross-shard multiget, kept alive by the per-shard callbacks.
-struct GatherState {
-  std::vector<ShardSlice> slices;
-  size_t total_keys = 0;
-  LevelEmitter emit;
-  std::map<ConsistencyLevel, LevelGather> levels;
-  // Latest full value per slice, for reconstructing a shard's confirmation final (§5.2:
-  // a confirmation promises the final equals the preliminary this shard already sent).
-  std::vector<std::optional<OpResult>> latest_value;
-
-  GatherState(std::vector<ShardSlice> s, size_t keys, const LevelVec& lvls,
-              LevelEmitter e)
-      : slices(std::move(s)), total_keys(keys), emit(std::move(e)),
-        latest_value(slices.size()) {
-    for (const ConsistencyLevel level : lvls) {
-      LevelGather& gather = levels[level];
-      gather.slots.resize(slices.size());
-      gather.confirmed.resize(slices.size(), false);
-      gather.outstanding = slices.size();
-    }
-  }
-};
-
-// Merges the completed level and reports it through the plan's emitter.
-void EmitMergedLevel(GatherState& state, ConsistencyLevel level, const LevelGather& gather) {
-  bool all_confirmed = true;
-  for (size_t i = 0; i < state.slices.size(); ++i) {
-    const StatusOr<OpResult>& slot = *gather.slots[i];
-    if (!slot.ok()) {
-      // Any failed shard fails the merged level; the pipeline decides whether that is
-      // tolerable (preliminary) or terminal (final).
-      state.emit(level, slot.status());
-      return;
-    }
-    if (!gather.confirmed[i]) {
-      all_confirmed = false;
-    }
-  }
-  if (all_confirmed) {
-    // Every shard confirmed its preliminary, so the merged final is the merged
-    // preliminary too — surface it as a confirmation and let the pipeline close the
-    // Correctable with the value it already delivered.
-    state.emit(level, OpResult{}, ResponseKind::kConfirmation);
-    return;
-  }
-
-  std::vector<OpResult> entries(state.total_keys);
-  for (size_t i = 0; i < state.slices.size(); ++i) {
-    const ShardSlice& slice = state.slices[i];
-    // A confirmed shard did not resend its payload; its final is its recorded
-    // preliminary.
-    const OpResult& result =
-        gather.confirmed[i] ? *state.latest_value[i] : gather.slots[i]->value();
-    for (size_t k = 0; k < slice.keys.size(); ++k) {
-      entries[slice.positions[k]] = result.entries[k];
-    }
-  }
-  state.emit(level, BatchResult(std::move(entries)));
-}
-
-void OnShardResponse(const std::shared_ptr<GatherState>& state, size_t slice_index,
-                     StatusOr<OpResult> result, ConsistencyLevel level, ResponseKind kind) {
-  auto it = state->levels.find(level);
-  if (it == state->levels.end()) {
-    return;  // level not part of this request; child declaration checks already warned
-  }
-  LevelGather& gather = it->second;
-  if (gather.slots[slice_index].has_value()) {
-    return;  // duplicate emission at this level (streaming shard); first one wins
-  }
-  if (kind == ResponseKind::kConfirmation && !state->latest_value[slice_index].has_value()) {
-    // A confirmation with no recorded preliminary cannot be reconstructed; treat as a
-    // shard protocol error rather than fabricating a value.
-    result = Status::Internal("shard confirmation arrived before any preliminary value");
-    kind = ResponseKind::kValue;
-  }
-  if (result.ok() && kind == ResponseKind::kValue) {
-    state->latest_value[slice_index] = result.value();
-  }
-  gather.confirmed[slice_index] = (kind == ResponseKind::kConfirmation);
-  gather.slots[slice_index] = std::move(result);
-  gather.outstanding--;
-  if (gather.outstanding == 0) {
-    EmitMergedLevel(*state, level, gather);
-  }
-}
-
-}  // namespace
-
 BindingRouter::BindingRouter(std::vector<std::shared_ptr<Binding>> shards, ShardFn shard_of,
                              uint64_t epoch)
     : shard_of_(std::move(shard_of)), epoch_(epoch) {
@@ -340,103 +215,28 @@ InvocationPlan BindingRouter::PlanOnShard(size_t shard, const Operation& op,
 }
 
 InvocationPlan BindingRouter::PlanInvocation(const Operation& op, const LevelSet& levels) {
-  if (op.type == OpType::kMultiPut) {
-    // A batched write flush must already be shard-local (the pipeline queues writes per
-    // coalescing scope and regroups on flush). Enforce it: spanning shards would apply
-    // half a batch on the wrong coordinator.
-    if (op.keys.empty()) {
-      return InvocationPlan::Rejected(
-          Status::InvalidArgument("multiput through the router needs at least one key"));
-    }
-    const size_t shard = ShardIndexFor(op.keys.front());
-    for (const std::string& key : op.keys) {
-      if (ShardIndexFor(key) != shard) {
-        return InvocationPlan::Rejected(Status::InvalidArgument(
-            "batched writes must not cross shard boundaries (key '" + key +
-            "' is not on shard " + std::to_string(shard) + ")"));
-      }
-    }
-    return PlanOnShard(shard, op, levels, "the batch");
-  }
-  if (op.type != OpType::kMultiGet) {
+  if (op.type != OpType::kMultiGet && op.type != OpType::kMultiPut) {
     // Single-key operations (and queue ops, routed by queue name) delegate wholesale:
     // the owning shard's plan *is* the router's plan, so refresh hooks, span steps, and
     // confirmation behaviour pass through untouched.
     return PlanOnShard(ShardIndexFor(op.key), op, levels, "the invocation");
   }
-
+  // A batched flush must already be shard-local (the pipeline queues reads and writes
+  // per coalescing scope and regroups on flush). Enforce it: spanning shards would send
+  // half a batch to the wrong coordinator.
   if (op.keys.empty()) {
     return InvocationPlan::Rejected(
-        Status::InvalidArgument("multiget through the router needs at least one key"));
+        Status::InvalidArgument("a batch through the router needs at least one key"));
   }
-  std::vector<ShardSlice> slices = SliceByShard(*this, op.keys);
-  if (slices.size() == 1) {
-    return PlanOnShard(slices.front().shard, op, levels, "the batch");
-  }
-
-  // Admission across every involved shard: one overloaded coordinator sheds the whole
-  // scatter-gather (its merged final could not complete anyway).
-  for (const ShardSlice& slice : slices) {
-    if (ShedIfOverloaded(slice.shard)) {
-      return InvocationPlan::Rejected(Status::Overloaded(
-          "shard " + std::to_string(slice.shard) +
-          " is over its queue limit; retry the multiget"));
+  const size_t shard = ShardIndexFor(op.keys.front());
+  for (const std::string& key : op.keys) {
+    if (ShardIndexFor(key) != shard) {
+      return InvocationPlan::Rejected(Status::InvalidArgument(
+          "batched operations must not cross shard boundaries (key '" + key +
+          "' is not on shard " + std::to_string(shard) + ")"));
     }
   }
-
-  // Cross-shard scatter-gather: one span step covering every requested level. Each
-  // shard runs its own sub-plan (via SubmitOperation, the raw fan-out path, which also
-  // applies that shard's refresh hook); the gather emits the merged view for a level
-  // once all shards reported at it, keeping the merged sequence monotone. The involved
-  // shards' bindings and counters are captured by value, so a mid-flight ring change
-  // neither frees a child nor mis-indexes the accounting.
-  std::vector<std::shared_ptr<Binding>> involved;
-  std::vector<std::shared_ptr<ShardCounters>> involved_counters;
-  involved.reserve(slices.size());
-  involved_counters.reserve(slices.size());
-  for (const ShardSlice& slice : slices) {
-    involved.push_back(shards_[slice.shard].binding);
-    involved_counters.push_back(shards_[slice.shard].counters);
-  }
-  const ConsistencyLevel strongest = levels.strongest();
-
-  InvocationPlan plan;
-  const size_t total_keys = op.keys.size();
-  plan.AddSpan(levels.levels(),
-               [involved, involved_counters, strongest, slices = std::move(slices), total_keys,
-                request_levels = levels.levels()](const Operation& read, LevelEmitter emit) {
-                 (void)read;  // sub-operations are rebuilt from the captured slices
-                 // Slots are claimed here, when the scatter actually launches, and
-                 // released together on the merged strongest-level emission.
-                 for (const auto& counters : involved_counters) {
-                   counters->outstanding++;
-                 }
-                 auto done = std::make_shared<bool>(false);
-                 LevelEmitter tracked(
-                     [emit = std::move(emit), involved_counters, strongest, done](
-                         ConsistencyLevel level, StatusOr<OpResult> result,
-                         ResponseKind kind) {
-                       if (level == strongest && !*done) {
-                         *done = true;
-                         for (const auto& counters : involved_counters) {
-                           counters->Release();
-                         }
-                       }
-                       emit(level, std::move(result), kind);
-                     });
-                 auto state = std::make_shared<GatherState>(slices, total_keys,
-                                                            request_levels, std::move(tracked));
-                 for (size_t i = 0; i < state->slices.size(); ++i) {
-                   const ShardSlice& slice = state->slices[i];
-                   involved[i]->SubmitOperation(
-                       Operation::MultiGet(slice.keys), request_levels,
-                       [state, i](StatusOr<OpResult> result, ConsistencyLevel level,
-                                  ResponseKind kind) {
-                         OnShardResponse(state, i, std::move(result), level, kind);
-                       });
-                 }
-               });
-  return plan;
+  return PlanOnShard(shard, op, levels, "the batch");
 }
 
 }  // namespace icg

@@ -5,17 +5,10 @@
 // invocation to the shard owning its key. Because routing stays per-key, every guarantee
 // the InvocationPipeline enforces per Correctable (weakest-first monotone views, §5.2
 // confirmations, timeouts) survives partitioned traffic: an invocation only ever talks
-// to one shard's endpoint, whose level sequence is exactly a flat binding's. The two
-// cross-shard concerns are handled here:
-//
-//   * multiget scatter-gather: a kMultiGet whose keys span shards is split into per-shard
-//     sub-reads; the router merges per-level, emitting the merged view for level L only
-//     once every shard reported at L, so the merged sequence is still monotone. Per-shard
-//     digest confirmations are reconstructed from that shard's preliminary; the merged
-//     final is itself a confirmation only if every shard confirmed.
-//   * coalescing scope: CoalescingScope() returns the key's shard (qualified by the ring
-//     epoch), so the pipeline never lets reads bound for different coordinators — or
-//     different ring generations — share one batch.
+// to one shard's endpoint, whose level sequence is exactly a flat binding's. Batched
+// operations are shard-local or rejected: CoalescingScope() returns the key's shard
+// (qualified by the ring epoch), so the pipeline never lets operations bound for
+// different coordinators — or different ring generations — share one batch.
 //
 // Two properties turn the static router into a *live* one:
 //
@@ -90,10 +83,10 @@ class BindingRouter : public Binding {
   std::string CoalescingScope(const Operation& op) const override;
 
   // Batching capabilities pass through to the shard bindings (identical by the
-  // constructor contract, like SupportedLevels). Batched writes are strictly
-  // shard-local: a kMultiPut whose keys span shards is rejected — the pipeline's
-  // scope-keyed write queues never produce one, so a rejection flags a caller bypassing
-  // the scheduler. Batched reads may span shards (multiget scatter-gather).
+  // constructor contract, like SupportedLevels). Batched operations are strictly
+  // shard-local: a kMultiGet or kMultiPut whose keys span shards is rejected — the
+  // pipeline's scope-keyed queues never produce one, so a rejection flags a caller
+  // bypassing the scheduler.
   bool SupportsBatchedReads() const override;
   bool SupportsBatchedWrites() const override;
 

@@ -62,23 +62,6 @@ Operation Operation::Dequeue(std::string queue) {
 }
 Operation Operation::Peek(std::string queue) { return MakeOp(OpType::kPeek, std::move(queue)); }
 
-int64_t Operation::WireBytes() const {
-  int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                  static_cast<int64_t>(value.size());
-  for (const auto& k : keys) {
-    bytes += static_cast<int64_t>(k.size()) + 2;
-  }
-  for (const auto& v : values) {
-    bytes += static_cast<int64_t>(v.size()) + 2;
-  }
-  // Client-assigned LWW stamps ride the wire too (8 bytes each).
-  if (timestamp != 0) {
-    bytes += 8;
-  }
-  bytes += static_cast<int64_t>(timestamps.size()) * 8;
-  return bytes;
-}
-
 OpResult BatchResult(std::vector<OpResult> entries) {
   OpResult batch;
   batch.found = true;
@@ -95,20 +78,6 @@ OpResult BatchResult(std::vector<OpResult> entries) {
   }
   batch.entries = std::move(entries);
   return batch;
-}
-
-OpResult MultiLookup(const std::vector<std::string>& keys,
-                     const std::function<std::optional<OpResult>(const std::string&)>& lookup) {
-  std::vector<OpResult> entries(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const std::optional<OpResult> hit = lookup(keys[i]);
-    if (hit.has_value() && hit->found) {
-      entries[i].found = true;
-      entries[i].value = hit->value;
-      entries[i].version = hit->version;
-    }
-  }
-  return BatchResult(std::move(entries));
 }
 
 std::string Operation::ToString() const {

@@ -8,8 +8,6 @@
 #define ICG_CORRECTABLES_OPERATION_H_
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,9 +59,6 @@ struct Operation {
     return type == OpType::kEnqueue || type == OpType::kDequeue || type == OpType::kPeek;
   }
 
-  // Approximate wire size of the request (header + key + payload), for byte accounting.
-  int64_t WireBytes() const;
-
   std::string ToString() const;
 };
 
@@ -96,11 +91,6 @@ struct OpResult {
 // The one constructor of a batched result: `found` = every entry found (true for no
 // entries), `seqno` = the number of entries found, `version` = the freshest entry's.
 OpResult BatchResult(std::vector<OpResult> entries);
-
-// Builds a batched read result from per-key lookups, the one definition shared by every
-// multi-key responder (stores, client cache). `lookup` returns nullopt for a missing key.
-OpResult MultiLookup(const std::vector<std::string>& keys,
-                     const std::function<std::optional<OpResult>(const std::string&)>& lookup);
 
 // Wire-size constants shared by the simulated protocols. The paper reports ~270 B for a
 // ZooKeeper enqueue request+response pair and ~130 B for the extra preliminary response;

@@ -326,14 +326,11 @@ IntraWorldPlacement PlaceShardsAcrossLoops(LoopGroup& group, SimWorld& world,
   return placement;
 }
 
-ZooKeeperStack MakeZooKeeperStack(SimWorld& world, ZabConfig zab_config, Region client_region,
-                                  Region session_region, Region leader_region,
-                                  std::vector<Region> server_regions) {
+ZooKeeperStack MakeZooKeeperStack(SimWorld& world, Region client_region, Region session_region,
+                                  Region leader_region, std::vector<Region> server_regions) {
   ZooKeeperStack stack;
-  stack.config = std::make_unique<ZabConfig>(zab_config);
   stack.cluster = std::make_unique<ZabCluster>(&world.network(), &world.topology(),
-                                               stack.config.get(), server_regions,
-                                               leader_region);
+                                               server_regions, leader_region);
   stack.zab_client = stack.cluster->MakeClient(client_region, session_region);
   stack.binding = std::make_shared<ZooKeeperBinding>(stack.zab_client.get());
   stack.client = std::make_unique<CorrectableClient>(stack.binding, &world.loop());
@@ -349,35 +346,29 @@ ZooKeeperClientEndpoint AddZooKeeperClient(SimWorld& world, ZooKeeperStack& stac
   return endpoint;
 }
 
-NewsStack MakeNewsStack(SimWorld& world, PbConfig pb_config, Region client_region,
-                        Region backup_region, std::vector<Region> store_regions,
-                        BatchConfig batch_config) {
+NewsStack MakeNewsStack(SimWorld& world, Region client_region, Region backup_region,
+                        std::vector<Region> store_regions) {
   NewsStack stack;
-  stack.config = std::make_unique<PbConfig>(pb_config);
-  stack.cluster = std::make_unique<PbCluster>(&world.network(), &world.topology(),
-                                              stack.config.get(), store_regions);
+  stack.cluster =
+      std::make_unique<PbCluster>(&world.network(), &world.topology(), store_regions);
   stack.pb_client = stack.cluster->MakeClient(client_region, backup_region);
   stack.cache = std::make_unique<ClientCache>();
   stack.binding =
       std::make_shared<CachedPbBinding>(stack.pb_client.get(), stack.cache.get());
   stack.client = std::make_unique<CorrectableClient>(stack.binding, &world.loop());
-  stack.client->SetBatchConfig(batch_config);
   return stack;
 }
 
-CausalStack MakeCausalStack(SimWorld& world, CausalConfig causal_config, Region client_region,
-                            Region replica_region, std::vector<Region> store_regions,
-                            BatchConfig batch_config) {
+CausalStack MakeCausalStack(SimWorld& world, Region client_region, Region replica_region,
+                            std::vector<Region> store_regions) {
   CausalStack stack;
-  stack.config = std::make_unique<CausalConfig>(causal_config);
-  stack.cluster = std::make_unique<CausalCluster>(&world.network(), &world.topology(),
-                                                  stack.config.get(), store_regions);
+  stack.cluster =
+      std::make_unique<CausalCluster>(&world.network(), &world.topology(), store_regions);
   stack.causal_client = stack.cluster->MakeClient(client_region, replica_region);
   stack.cache = std::make_unique<ClientCache>();
   stack.binding =
       std::make_shared<CachedCausalBinding>(stack.causal_client.get(), stack.cache.get());
   stack.client = std::make_unique<CorrectableClient>(stack.binding, &world.loop());
-  stack.client->SetBatchConfig(batch_config);
   return stack;
 }
 

@@ -270,7 +270,6 @@ ShardedEndpoint& AddShardedCassandraClient(SimWorld& world, ShardedCassandraStac
 
 // ZooKeeper-like deployment: ensemble (leader region configurable), one session client.
 struct ZooKeeperStack {
-  std::unique_ptr<ZabConfig> config;
   std::unique_ptr<ZabCluster> cluster;
   std::unique_ptr<ZabClient> zab_client;
   std::shared_ptr<ZooKeeperBinding> binding;
@@ -278,7 +277,7 @@ struct ZooKeeperStack {
 };
 
 ZooKeeperStack MakeZooKeeperStack(
-    SimWorld& world, ZabConfig zab_config, Region client_region = Region::kIreland,
+    SimWorld& world, Region client_region = Region::kIreland,
     Region session_region = Region::kFrankfurt, Region leader_region = Region::kIreland,
     std::vector<Region> server_regions = {Region::kIreland, Region::kFrankfurt,
                                           Region::kVirginia});
@@ -294,7 +293,6 @@ ZooKeeperClientEndpoint AddZooKeeperClient(SimWorld& world, ZooKeeperStack& stac
 
 // News-reader deployment: primary-backup store + client-side cache, three-level binding.
 struct NewsStack {
-  std::unique_ptr<PbConfig> config;
   std::unique_ptr<PbCluster> cluster;
   std::unique_ptr<PbClient> pb_client;
   std::unique_ptr<ClientCache> cache;
@@ -302,18 +300,15 @@ struct NewsStack {
   std::unique_ptr<CorrectableClient> client;
 };
 
-NewsStack MakeNewsStack(SimWorld& world, PbConfig pb_config,
-                        Region client_region = Region::kIreland,
+NewsStack MakeNewsStack(SimWorld& world, Region client_region = Region::kIreland,
                         Region backup_region = Region::kIreland,
                         std::vector<Region> store_regions = {Region::kVirginia,
                                                              Region::kIreland,
-                                                             Region::kFrankfurt},
-                        BatchConfig batch_config = {});
+                                                             Region::kFrankfurt});
 
 // Cached-causal deployment (the mobile/disconnected scenario): causally consistent
 // geo-replicated store + client-side cache, two-level binding.
 struct CausalStack {
-  std::unique_ptr<CausalConfig> config;
   std::unique_ptr<CausalCluster> cluster;
   std::unique_ptr<CausalClient> causal_client;
   std::unique_ptr<ClientCache> cache;
@@ -321,13 +316,11 @@ struct CausalStack {
   std::unique_ptr<CorrectableClient> client;
 };
 
-CausalStack MakeCausalStack(SimWorld& world, CausalConfig causal_config,
-                            Region client_region = Region::kIreland,
+CausalStack MakeCausalStack(SimWorld& world, Region client_region = Region::kIreland,
                             Region replica_region = Region::kIreland,
                             std::vector<Region> store_regions = {Region::kIreland,
                                                                  Region::kFrankfurt,
-                                                                 Region::kVirginia},
-                            BatchConfig batch_config = {});
+                                                                 Region::kVirginia});
 
 }  // namespace icg
 

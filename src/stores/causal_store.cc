@@ -6,9 +6,8 @@
 
 namespace icg {
 
-CausalReplica::CausalReplica(Network* network, NodeId id, const CausalConfig* config,
-                             const std::string& name)
-    : network_(network), id_(id), config_(config), service_(network->loop(), name) {}
+CausalReplica::CausalReplica(Network* network, NodeId id, const std::string& name)
+    : network_(network), id_(id), service_(network->loop(), name) {}
 
 void CausalReplica::SetOriginIndex(int index, int num_replicas) {
   origin_index_ = index;
@@ -17,7 +16,7 @@ void CausalReplica::SetOriginIndex(int index, int num_replicas) {
 
 void CausalReplica::HandleRead(NodeId client_id, const std::string& key,
                                CausalResponseFn respond) {
-  service_.Submit(config_->read_service, [this, client_id, key, respond = std::move(respond)]() {
+  service_.Submit(kReadService, [this, client_id, key, respond = std::move(respond)]() {
     OpResult result;
     if (auto it = storage_.find(key); it != storage_.end()) {
       result.found = true;
@@ -28,93 +27,40 @@ void CausalReplica::HandleRead(NodeId client_id, const std::string& key,
   });
 }
 
-void CausalReplica::HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
-                                    CausalResponseFn respond) {
-  const SimDuration service =
-      config_->read_service + (keys.empty() ? 0
-                                            : static_cast<SimDuration>(keys.size() - 1) *
-                                                  config_->multi_per_key_service);
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            respond = std::move(respond)]() {
-    const OpResult result =
-        MultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
-          auto it = storage_.find(key);
-          if (it == storage_.end()) {
-            return std::nullopt;
-          }
-          OpResult hit;
-          hit.found = true;
-          hit.value = it->second.value;
-          hit.version = it->second.version;
-          return hit;
-        });
-    network_->Send(id_, client_id, result.WireBytes(), [respond, result]() { respond(result); });
-  });
-}
-
-// Applies one locally originated write and replicates it with the dependency snapshot:
-// everything applied here happens-before this write, so remote replicas must reach this
-// clock before applying it.
-Version CausalReplica::ApplyLocalWrite(const std::string& key, const std::string& value) {
-  lamport_++;
-  const Version version{lamport_, id_};
-  const int64_t origin_seq = next_origin_seq_++;
-  storage_[key] = Entry{value, version};
-  applied_clock_[static_cast<size_t>(origin_index_)] = origin_seq;
-
-  const std::vector<int64_t> deps = applied_clock_;
-  for (CausalReplica* peer : peers_) {
-    const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                          static_cast<int64_t>(value.size()) +
-                          static_cast<int64_t>(deps.size()) * 8;
-    const int origin = origin_index_;
-    network_->Send(id_, peer->id(), bytes,
-                   [peer, origin, origin_seq, deps, key, value, version]() {
-                     peer->HandleReplicated(origin, origin_seq, deps, key, value, version);
-                   });
-  }
-  return version;
-}
-
 void CausalReplica::HandleWrite(NodeId client_id, const std::string& key, std::string value,
                                 CausalResponseFn respond) {
-  service_.Submit(config_->write_service, [this, client_id, key, value = std::move(value),
-                                           respond = std::move(respond)]() mutable {
+  service_.Submit(kWriteService, [this, client_id, key, value = std::move(value),
+                                  respond = std::move(respond)]() mutable {
+    lamport_++;
+    const Version version{lamport_, id_};
+    const int64_t origin_seq = next_origin_seq_++;
+    storage_[key] = Entry{value, version};
+    applied_clock_[static_cast<size_t>(origin_index_)] = origin_seq;
+
+    // Everything applied here happens-before this write, so remote replicas must reach
+    // this dependency clock before applying it.
+    const std::vector<int64_t> deps = applied_clock_;
+    for (CausalReplica* peer : peers_) {
+      const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
+                            static_cast<int64_t>(value.size()) +
+                            static_cast<int64_t>(deps.size()) * 8;
+      const int origin = origin_index_;
+      network_->Send(id_, peer->id(), bytes,
+                     [peer, origin, origin_seq, deps, key, value, version]() {
+                       peer->HandleReplicated(origin, origin_seq, deps, key, value, version);
+                     });
+    }
+
     OpResult ack;
     ack.found = true;
-    ack.version = ApplyLocalWrite(key, value);
+    ack.version = version;
     network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
-  });
-}
-
-void CausalReplica::HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                                     std::vector<std::string> values, CausalResponseFn respond) {
-  if (keys.empty() || keys.size() != values.size()) {
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
-      respond(Status::InvalidArgument("multiwrite needs matching non-empty key/value lists"));
-    });
-    return;
-  }
-  const SimDuration service =
-      config_->write_service +
-      static_cast<SimDuration>(keys.size() - 1) * config_->multi_per_key_service;
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            values = std::move(values), respond = std::move(respond)]() mutable {
-    // Entries apply in vector order: each write's dependency snapshot includes its batch
-    // predecessors, so remote replicas preserve the batch's internal program order too.
-    std::vector<OpResult> acked(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      acked[i].found = true;
-      acked[i].version = ApplyLocalWrite(keys[i], values[i]);
-    }
-    network_->Send(id_, client_id, kResponseHeaderBytes,
-                   [respond, ack = BatchResult(std::move(acked))]() { respond(ack); });
   });
 }
 
 void CausalReplica::HandleReplicated(int origin, int64_t origin_seq, std::vector<int64_t> deps,
                                      const std::string& key, std::string value, Version version) {
-  service_.Submit(config_->apply_service,
+  service_.Submit(kApplyService,
                   [this, origin, origin_seq, deps = std::move(deps), key,
                    value = std::move(value), version]() mutable {
                     pending_.push_back(PendingWrite{origin, origin_seq, std::move(deps), key,
@@ -200,8 +146,6 @@ void ClientCache::Refresh(const std::string& key, const OpResult& result) {
   Put(key, result);
 }
 
-void ClientCache::Invalidate(const std::string& key) { entries_.erase(key); }
-
 void ClientCache::Clear() {
   entries_.clear();
   lru_.clear();
@@ -228,37 +172,6 @@ void CausalClient::Read(const std::string& key, CausalResponseFn respond) {
   });
 }
 
-void CausalClient::MultiRead(std::vector<std::string> keys, CausalResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
-  CausalReplica* replica = replica_;
-  const NodeId self = id_;
-  network_->Send(id_, replica_->id(), bytes,
-                 [replica, self, keys = std::move(keys), respond = std::move(respond)]() mutable {
-                   replica->HandleMultiRead(self, std::move(keys), respond);
-                 });
-}
-
-void CausalClient::MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                              CausalResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
-  for (const auto& value : values) {
-    bytes += static_cast<int64_t>(value.size()) + 2;
-  }
-  CausalReplica* replica = replica_;
-  const NodeId self = id_;
-  network_->Send(id_, replica_->id(), bytes,
-                 [replica, self, keys = std::move(keys), values = std::move(values),
-                  respond = std::move(respond)]() mutable {
-                   replica->HandleMultiWrite(self, std::move(keys), std::move(values), respond);
-                 });
-}
-
 void CausalClient::Write(const std::string& key, std::string value, CausalResponseFn respond) {
   const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
                         static_cast<int64_t>(value.size());
@@ -271,13 +184,13 @@ void CausalClient::Write(const std::string& key, std::string value, CausalRespon
                  });
 }
 
-CausalCluster::CausalCluster(Network* network, Topology* topology, const CausalConfig* config,
+CausalCluster::CausalCluster(Network* network, Topology* topology,
                              const std::vector<Region>& regions)
     : network_(network), topology_(topology) {
   for (const Region region : regions) {
     const std::string name = std::string("causal-") + RegionName(region);
     const NodeId id = topology->AddNode(region, name);
-    replicas_.push_back(std::make_unique<CausalReplica>(network, id, config, name));
+    replicas_.push_back(std::make_unique<CausalReplica>(network, id, name));
   }
   for (size_t i = 0; i < replicas_.size(); ++i) {
     std::vector<CausalReplica*> peers;

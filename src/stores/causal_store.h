@@ -26,36 +26,25 @@
 
 namespace icg {
 
-struct CausalConfig {
-  SimDuration read_service = Micros(200);
-  SimDuration write_service = Micros(250);
-  SimDuration apply_service = Micros(150);
-  // Incremental cost per additional key in a batched (multi-key) read or write.
-  SimDuration multi_per_key_service = Micros(50);
-};
-
 // 96 inline bytes: fits the pipeline's EmitAt adapters (emitter + level) inline.
 using CausalResponseFn = InlineFunction<void(StatusOr<OpResult>), 96>;
 
 class CausalReplica {
  public:
-  CausalReplica(Network* network, NodeId id, const CausalConfig* config, const std::string& name);
+  // Service times on the replica's single-server queue.
+  static constexpr SimDuration kReadService = Micros(200);
+  static constexpr SimDuration kWriteService = Micros(250);
+  static constexpr SimDuration kApplyService = Micros(150);
+
+  CausalReplica(Network* network, NodeId id, const std::string& name);
 
   void SetPeers(std::vector<CausalReplica*> peers) { peers_ = std::move(peers); }
   // Dense index of this replica among all replicas (origin id in vector clocks).
   void SetOriginIndex(int index, int num_replicas);
 
   void HandleRead(NodeId client_id, const std::string& key, CausalResponseFn respond);
-  // Batched read: one request, one response with one entry per key in request order.
-  void HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
-                       CausalResponseFn respond);
   void HandleWrite(NodeId client_id, const std::string& key, std::string value,
                    CausalResponseFn respond);
-  // Batched write: applies the entries in vector order (each its own Lamport stamp and
-  // origin sequence number, so causal replication is per-write exactly as for singles),
-  // then acknowledges once for the whole batch.
-  void HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                        std::vector<std::string> values, CausalResponseFn respond);
 
   // Replication message: a write from `origin` with its per-origin sequence number and
   // the origin's dependency clock at emission time.
@@ -85,11 +74,9 @@ class CausalReplica {
   void TryApplyPending();
   bool DepsSatisfied(const PendingWrite& write) const;
   void ApplyWrite(const PendingWrite& write);
-  Version ApplyLocalWrite(const std::string& key, const std::string& value);
 
   Network* network_;
   NodeId id_;
-  const CausalConfig* config_;
   ServiceQueue service_;
   std::vector<CausalReplica*> peers_;
 
@@ -113,7 +100,6 @@ class ClientCache {
   // Version-aware write-through: installs `result` unless the cached entry is already
   // strictly fresher, so a reordered weak view can never regress a stronger one.
   void Refresh(const std::string& key, const OpResult& result);
-  void Invalidate(const std::string& key);
   void Clear();
 
   size_t size() const { return entries_.size(); }
@@ -137,11 +123,6 @@ class CausalClient {
   void Read(const std::string& key, CausalResponseFn respond);
   void Write(const std::string& key, std::string value, CausalResponseFn respond);
 
-  // Batched variants: one round-trip covering several keys (cross-tick batching).
-  void MultiRead(std::vector<std::string> keys, CausalResponseFn respond);
-  void MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                  CausalResponseFn respond);
-
   NodeId id() const { return id_; }
 
  private:
@@ -152,8 +133,7 @@ class CausalClient {
 
 class CausalCluster {
  public:
-  CausalCluster(Network* network, Topology* topology, const CausalConfig* config,
-                const std::vector<Region>& regions);
+  CausalCluster(Network* network, Topology* topology, const std::vector<Region>& regions);
 
   CausalReplica* ReplicaIn(Region region);
   std::unique_ptr<CausalClient> MakeClient(Region client_region, Region replica_region);

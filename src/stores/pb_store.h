@@ -24,36 +24,26 @@
 
 namespace icg {
 
-struct PbConfig {
-  SimDuration read_service = Micros(200);
-  SimDuration write_service = Micros(300);
-  SimDuration apply_service = Micros(150);
-  // Incremental cost per additional key in a batched (multi-key) read or write.
-  SimDuration multi_per_key_service = Micros(50);
-};
-
 // 96 inline bytes: the pipeline's EmitAt adapters (a captured emitter plus a level)
 // must reach the store without a heap-allocated callback per request.
 using PbResponseFn = InlineFunction<void(StatusOr<OpResult>), 96>;
 
 class PbNode {
  public:
-  PbNode(Network* network, NodeId id, const PbConfig* config, const std::string& name);
+  // Service times on the node's single-server queue.
+  static constexpr SimDuration kReadService = Micros(200);
+  static constexpr SimDuration kWriteService = Micros(300);
+  static constexpr SimDuration kApplyService = Micros(150);
+
+  PbNode(Network* network, NodeId id, const std::string& name);
 
   // On the primary: the backup set. On backups: empty.
   void SetBackups(std::vector<PbNode*> backups) { backups_ = std::move(backups); }
 
   void HandleRead(NodeId client_id, const std::string& key, PbResponseFn respond);
-  // Batched read: one request, one response with one entry per key in request order
-  // (see BatchResult).
-  void HandleMultiRead(NodeId client_id, std::vector<std::string> keys, PbResponseFn respond);
   // Primary only: apply, ack, propagate.
   void HandleWrite(NodeId client_id, const std::string& key, std::string value,
                    PbResponseFn respond);
-  // Primary only: apply several writes in vector order (program order per key), one ack,
-  // propagate each to the backups.
-  void HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                        std::vector<std::string> values, PbResponseFn respond);
   // Backup side of asynchronous propagation.
   void ApplyReplicated(const std::string& key, std::string value, Version version);
 
@@ -71,7 +61,6 @@ class PbNode {
 
   Network* network_;
   NodeId id_;
-  const PbConfig* config_;
   ServiceQueue service_;
   std::vector<PbNode*> backups_;
   std::map<std::string, Entry> storage_;
@@ -86,17 +75,10 @@ class PbClient {
   void ReadStrong(const std::string& key, PbResponseFn respond);  // primary
   void Write(const std::string& key, std::string value, PbResponseFn respond);
 
-  // Batched variants: one round-trip covering several keys (cross-tick batching).
-  void MultiReadWeak(std::vector<std::string> keys, PbResponseFn respond);
-  void MultiReadStrong(std::vector<std::string> keys, PbResponseFn respond);
-  void MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                  PbResponseFn respond);
-
   NodeId id() const { return id_; }
 
  private:
   void ReadFrom(PbNode* node, const std::string& key, PbResponseFn respond);
-  void MultiReadFrom(PbNode* node, std::vector<std::string> keys, PbResponseFn respond);
 
   Network* network_;
   NodeId id_;
@@ -107,8 +89,7 @@ class PbClient {
 class PbCluster {
  public:
   // First region hosts the primary; the rest host backups.
-  PbCluster(Network* network, Topology* topology, const PbConfig* config,
-            const std::vector<Region>& regions);
+  PbCluster(Network* network, Topology* topology, const std::vector<Region>& regions);
 
   PbNode* primary() const { return nodes_.front().get(); }
   PbNode* NodeIn(Region region);

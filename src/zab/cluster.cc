@@ -186,13 +186,13 @@ int64_t ZabClient::LinkMessages() const {
   return network_->MessagesBetween(id_, session_->id());
 }
 
-ZabCluster::ZabCluster(Network* network, Topology* topology, const ZabConfig* config,
-                       const std::vector<Region>& regions, Region leader_region)
+ZabCluster::ZabCluster(Network* network, Topology* topology, const std::vector<Region>& regions,
+                       Region leader_region)
     : network_(network), topology_(topology) {
   for (const Region region : regions) {
     const NodeId id = topology->AddNode(region, std::string("zk-") + RegionName(region));
     servers_.push_back(
-        std::make_unique<ZabServer>(network, id, config, std::string("zk-") + RegionName(region)));
+        std::make_unique<ZabServer>(network, id, std::string("zk-") + RegionName(region)));
     if (region == leader_region && leader_ == nullptr) {
       leader_ = servers_.back().get();
     }

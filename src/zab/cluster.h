@@ -60,8 +60,8 @@ class ZabCluster {
  public:
   // One server per region; the server in `leader_region` leads (static leadership — the
   // paper pins leader placement per experiment; see Figure 9 configurations).
-  ZabCluster(Network* network, Topology* topology, const ZabConfig* config,
-             const std::vector<Region>& regions, Region leader_region);
+  ZabCluster(Network* network, Topology* topology, const std::vector<Region>& regions,
+             Region leader_region);
 
   ZabServer* ServerIn(Region region);
   ZabServer* leader() const { return leader_; }

@@ -8,15 +8,8 @@
 
 namespace icg {
 
-ZabServer::ZabServer(Network* network, NodeId id, const ZabConfig* config,
-                     const std::string& name)
-    : network_(network),
-      loop_(network->loop()),
-      id_(id),
-      config_(config),
-      service_(network->loop(), name) {
-  assert(config_ != nullptr);
-}
+ZabServer::ZabServer(Network* network, NodeId id, const std::string& name)
+    : network_(network), loop_(network->loop()), id_(id), service_(network->loop(), name) {}
 
 void ZabServer::SetEnsemble(std::vector<ZabServer*> peers, ZabServer* leader) {
   peers_ = std::move(peers);
@@ -33,7 +26,7 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
 
   if (icg) {
     // CZK fast path: simulate on local state, leak the preliminary before coordination.
-    service_.Submit(config_->local_sim_service, [this, op, client_id, request_id]() {
+    service_.Submit(kLocalSimService, [this, op, client_id, request_id]() {
       auto it = pending_requests_.find(request_id);
       if (it == pending_requests_.end()) {
         return;
@@ -48,7 +41,7 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
   }
 
   if (is_leader()) {
-    service_.Submit(config_->leader_propose_service, [this, op]() { LeaderPropose(op); });
+    service_.Submit(kLeaderProposeService, [this, op]() { LeaderPropose(op); });
   } else {
     ZabServer* leader = leader_;
     network_->Send(id_, leader->id(), op.WireBytes(),
@@ -58,7 +51,7 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
 
 void ZabServer::HandleForward(ZabOp op) {
   assert(is_leader());
-  service_.Submit(config_->leader_propose_service, [this, op = std::move(op)]() {
+  service_.Submit(kLeaderProposeService, [this, op = std::move(op)]() {
     LeaderPropose(op);
   });
 }
@@ -75,7 +68,7 @@ void ZabServer::LeaderPropose(ZabOp op) {
 }
 
 void ZabServer::HandlePropose(uint64_t zxid, ZabOp op) {
-  service_.Submit(config_->follower_ack_service, [this, zxid, op = std::move(op)]() {
+  service_.Submit(kFollowerAckService, [this, zxid, op = std::move(op)]() {
     ZabServer* leader = leader_;
     const NodeId self = id_;
     network_->Send(id_, leader->id(), 32, [leader, zxid, self]() {
@@ -133,8 +126,7 @@ void ZabServer::ApplyInOrder() {
     const ZabOp op = it->second;
     uncommitted_.erase(it);
     last_applied_zxid_ = zxid;
-    service_.Submit(config_->commit_apply_service,
-                    [this, zxid, op]() { ApplyCommitted(zxid, op); });
+    service_.Submit(kCommitApplyService, [this, zxid, op]() { ApplyCommitted(zxid, op); });
   }
 }
 
@@ -254,7 +246,7 @@ OpResult ZabServer::SimulateLocally(const ZabOp& op) {
 
 void ZabServer::ReadChildren(NodeId client_id, const std::string& queue,
                              std::function<void(std::vector<int64_t>)> respond) {
-  service_.Submit(config_->local_read_service,
+  service_.Submit(kLocalReadService,
                   [this, client_id, queue, respond = std::move(respond)]() {
                     std::vector<int64_t> children;
                     const QueueState& state = queues_[queue];
@@ -267,14 +259,14 @@ void ZabServer::ReadChildren(NodeId client_id, const std::string& queue,
                     // length (Figure 10).
                     const int64_t bytes =
                         kResponseHeaderBytes +
-                        config_->znode_name_bytes * static_cast<int64_t>(children.size());
+                        kZnodeNameBytes * static_cast<int64_t>(children.size());
                     network_->Send(id_, client_id, bytes,
                                    [respond, children]() { respond(children); });
                   });
 }
 
 void ZabServer::ReadHead(NodeId client_id, const std::string& queue, ZabResponseFn respond) {
-  service_.Submit(config_->local_read_service,
+  service_.Submit(kLocalReadService,
                   [this, client_id, queue, respond = std::move(respond)]() {
                     OpResult out;
                     const auto head = queues_[queue].Head();
@@ -291,7 +283,7 @@ void ZabServer::ReadHead(NodeId client_id, const std::string& queue, ZabResponse
 
 void ZabServer::ReadData(NodeId client_id, const std::string& queue, int64_t seq,
                          ZabResponseFn respond) {
-  service_.Submit(config_->local_read_service,
+  service_.Submit(kLocalReadService,
                   [this, client_id, queue, seq, respond = std::move(respond)]() {
                     OpResult out;
                     for (const QueueEntry& entry : queues_[queue].entries()) {

@@ -31,17 +31,6 @@
 
 namespace icg {
 
-struct ZabConfig {
-  SimDuration leader_propose_service = Micros(250);
-  SimDuration follower_ack_service = Micros(150);
-  SimDuration commit_apply_service = Micros(150);
-  SimDuration local_read_service = Micros(120);
-  SimDuration local_sim_service = Micros(80);  // CZK preliminary simulation
-  // Bytes per child name in a getChildren listing: the unit of the ZK recipe's
-  // message-size inflation (Figure 10).
-  int64_t znode_name_bytes = 16;
-};
-
 enum class ZabOpType : uint8_t {
   kEnqueue,  // sequential-znode create
   kDequeue,  // CZK server-side atomic dequeue
@@ -75,7 +64,17 @@ using ZabResponseFn =
 
 class ZabServer {
  public:
-  ZabServer(Network* network, NodeId id, const ZabConfig* config, const std::string& name);
+  // Service times on the server's single-server queue.
+  static constexpr SimDuration kLeaderProposeService = Micros(250);
+  static constexpr SimDuration kFollowerAckService = Micros(150);
+  static constexpr SimDuration kCommitApplyService = Micros(150);
+  static constexpr SimDuration kLocalReadService = Micros(120);
+  static constexpr SimDuration kLocalSimService = Micros(80);  // CZK preliminary simulation
+  // Bytes per child name in a getChildren listing: the unit of the ZK recipe's
+  // message-size inflation (Figure 10).
+  static constexpr int64_t kZnodeNameBytes = 16;
+
+  ZabServer(Network* network, NodeId id, const std::string& name);
 
   // Wires the ensemble. `peers` excludes self; `leader` may be this server.
   void SetEnsemble(std::vector<ZabServer*> peers, ZabServer* leader);
@@ -133,7 +132,6 @@ class ZabServer {
   Network* network_;
   EventLoop* loop_;
   NodeId id_;
-  const ZabConfig* config_;
   ServiceQueue service_;
   MetricRegistry metrics_;
 

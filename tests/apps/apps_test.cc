@@ -184,7 +184,7 @@ TEST_F(TwissandraTest, PostTweetRewritesTimeline) {
 class NewsTest : public ::testing::Test {
  protected:
   NewsTest() : world_(3, 0.0) {
-    stack_ = MakeNewsStack(world_, PbConfig{});
+    stack_ = MakeNewsStack(world_);
     reader_ = std::make_unique<NewsReader>(stack_->client.get());
   }
 
@@ -248,7 +248,7 @@ TEST_F(NewsTest, PublishThenReadCoherent) {
 
 TEST(RedditListing, WeakAndStrongRouteDifferently) {
   SimWorld world(4, 0.0);
-  auto stack = MakeNewsStack(world, PbConfig{});
+  auto stack = MakeNewsStack(world);
   stack.cluster->Preload(MessagesKey(1), "m1");
   CorrectableClient& client = *stack.client;
 

@@ -15,7 +15,7 @@ namespace {
 class TicketsTest : public ::testing::Test {
  protected:
   TicketsTest() : world_(5, 0.0) {
-    stack_ = MakeZooKeeperStack(world_, ZabConfig{}, Region::kFrankfurt, Region::kFrankfurt,
+    stack_ = MakeZooKeeperStack(world_, Region::kFrankfurt, Region::kFrankfurt,
                                 Region::kIreland);
   }
 

@@ -17,7 +17,7 @@ class PbBindingTest : public ::testing::Test {
  protected:
   PbBindingTest() : world_(1, 0.0) {
     cluster_ = std::make_unique<PbCluster>(
-        &world_.network(), &world_.topology(), &config_,
+        &world_.network(), &world_.topology(),
         std::vector<Region>{Region::kVirginia, Region::kIreland, Region::kFrankfurt});
     client_ = cluster_->MakeClient(Region::kIreland, Region::kIreland);
     binding_ = std::make_shared<PrimaryBackupBinding>(client_.get());
@@ -25,7 +25,6 @@ class PbBindingTest : public ::testing::Test {
   }
 
   SimWorld world_;
-  PbConfig config_;
   std::unique_ptr<PbCluster> cluster_;
   std::unique_ptr<PbClient> client_;
   std::shared_ptr<PrimaryBackupBinding> binding_;
@@ -74,7 +73,7 @@ TEST_F(PbBindingTest, QueueOpsRejected) {
 
 class CachedPbTest : public ::testing::Test {
  protected:
-  CachedPbTest() : world_(1, 0.0) { stack_ = MakeNewsStack(world_, PbConfig{}); }
+  CachedPbTest() : world_(1, 0.0) { stack_ = MakeNewsStack(world_); }
 
   void WarmCache(const std::string& key) {
     stack_->client->InvokeStrong(Operation::Get(key));
@@ -145,7 +144,7 @@ class CachedCausalTest : public ::testing::Test {
  protected:
   CachedCausalTest() : world_(1, 0.0) {
     cluster_ = std::make_unique<CausalCluster>(
-        &world_.network(), &world_.topology(), &config_,
+        &world_.network(), &world_.topology(),
         std::vector<Region>{Region::kIreland, Region::kFrankfurt, Region::kVirginia});
     client_ = cluster_->MakeClient(Region::kIreland, Region::kIreland);
     cache_ = std::make_unique<ClientCache>();
@@ -154,7 +153,6 @@ class CachedCausalTest : public ::testing::Test {
   }
 
   SimWorld world_;
-  CausalConfig config_;
   std::unique_ptr<CausalCluster> cluster_;
   std::unique_ptr<CausalClient> client_;
   std::unique_ptr<ClientCache> cache_;

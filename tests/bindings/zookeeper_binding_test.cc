@@ -11,7 +11,7 @@ namespace {
 
 class ZkBindingTest : public ::testing::Test {
  protected:
-  ZkBindingTest() : world_(1, 0.0) { stack_ = MakeZooKeeperStack(world_, ZabConfig{}); }
+  ZkBindingTest() : world_(1, 0.0) { stack_ = MakeZooKeeperStack(world_); }
 
   SimWorld world_;
   std::optional<ZooKeeperStack> stack_;

@@ -1,6 +1,6 @@
 // BindingRouter semantics against synthetic shard bindings: per-key delegation,
-// coalescing scope, and cross-shard multiget scatter-gather (ordering, merge,
-// confirmation reconstruction, error fan-in).
+// coalescing scope, shard-local batches (cross-shard ones rejected, error fan-in), live
+// ring installation and per-shard backpressure.
 #include "src/correctables/binding_router.h"
 
 #include <gtest/gtest.h>
@@ -16,12 +16,10 @@ namespace icg {
 namespace {
 
 // A synchronous shard binding: gets answer "<name>/<key>", multigets answer one
-// "<name>/<key>" entry per key, puts acknowledge. When `confirm_finals` is set, the strong
-// final of a multi-level read arrives as a §5.2 digest confirmation instead of a value.
+// "<name>/<key>" entry per key, puts acknowledge.
 class FakeShardBinding : public Binding {
  public:
-  explicit FakeShardBinding(std::string name, bool confirm_finals = false)
-      : name_(std::move(name)), confirm_finals_(confirm_finals) {}
+  explicit FakeShardBinding(std::string name) : name_(std::move(name)) {}
 
   std::string Name() const override { return name_; }
   std::vector<ConsistencyLevel> SupportedLevels() const override {
@@ -75,8 +73,6 @@ class FakeShardBinding : public Binding {
       }
       if (!fail_final.ok()) {
         emit(levels.strongest(), fail_final);
-      } else if (confirm_finals_ && multi_level) {
-        emit(levels.strongest(), OpResult{}, ResponseKind::kConfirmation);
       } else {
         emit(levels.strongest(), result);
       }
@@ -86,7 +82,6 @@ class FakeShardBinding : public Binding {
 
  private:
   std::string name_;
-  bool confirm_finals_;
 };
 
 // Routes by the numeric suffix of the key ("k7" -> shard 7 % n).
@@ -157,80 +152,20 @@ TEST(BindingRouter, SingleShardMultigetDelegatesWholesale) {
   EXPECT_EQ(f.s1->plans, 0);  // never consulted
 }
 
-TEST(BindingRouter, CrossShardMultigetMergesInRequestOrder) {
-  RouterFixture f;
-  auto c = f.client.Invoke(Operation::MultiGet({"k1", "k0", "k3", "k2"}));
-  ASSERT_EQ(c.state(), CorrectableState::kFinal);
-  // Positions interleave shards; the merged payload must follow the request order, not
-  // per-shard grouping.
-  EXPECT_EQ(EntryValues(c.Final().value()),
-            (std::vector<std::string>{"s1/k1", "s0/k0", "s1/k3", "s0/k2"}));
-  EXPECT_EQ(c.Final().value().seqno, 4);
-  EXPECT_TRUE(c.Final().value().found);
-  // Full incremental sequence: one merged preliminary, one merged final.
-  EXPECT_EQ(c.views_delivered(), 2);
-}
-
-TEST(BindingRouter, CrossShardMultigetViewsStayMonotone) {
-  RouterFixture f;
-  auto c = f.client.Invoke(Operation::MultiGet({"k0", "k1"}));
-  // Two views delivered and the last one strong: the pipeline would have suppressed the
-  // weak view (views_delivered == 1) had the merged sequence arrived out of order.
-  // (Callback-level ordering over a live loop is covered by the routing integration
-  // test; this synchronous binding resolves before callbacks could attach.)
-  EXPECT_EQ(c.views_delivered(), 2);
-  ASSERT_EQ(c.state(), CorrectableState::kFinal);
-  EXPECT_EQ(c.LatestView().level, ConsistencyLevel::kStrong);
-  EXPECT_EQ(f.client.stats().stale_views_dropped, 0);
-}
-
-TEST(BindingRouter, AllShardsConfirmingYieldsMergedConfirmation) {
-  auto s0 = std::make_shared<FakeShardBinding>("s0", /*confirm_finals=*/true);
-  auto s1 = std::make_shared<FakeShardBinding>("s1", /*confirm_finals=*/true);
-  auto router = std::make_shared<BindingRouter>(
-      std::vector<std::shared_ptr<Binding>>{s0, s1}, SuffixShardFn(2));
-  CorrectableClient client(router);
-
-  auto c = client.Invoke(Operation::MultiGet({"k0", "k1"}));
-  ASSERT_EQ(c.state(), CorrectableState::kFinal);
-  // Confirmation close: the final view carries the preliminary's merged value.
-  EXPECT_TRUE(c.LatestView().confirmed_preliminary);
-  EXPECT_EQ(EntryValues(c.Final().value()), (std::vector<std::string>{"s0/k0", "s1/k1"}));
-  EXPECT_EQ(client.stats().confirmations, 1);
-}
-
-TEST(BindingRouter, MixedConfirmationReconstructsConfirmedShardsValue) {
-  auto s0 = std::make_shared<FakeShardBinding>("s0", /*confirm_finals=*/true);
-  auto s1 = std::make_shared<FakeShardBinding>("s1", /*confirm_finals=*/false);
-  auto router = std::make_shared<BindingRouter>(
-      std::vector<std::shared_ptr<Binding>>{s0, s1}, SuffixShardFn(2));
-  CorrectableClient client(router);
-
-  auto c = client.Invoke(Operation::MultiGet({"k0", "k1"}));
-  ASSERT_EQ(c.state(), CorrectableState::kFinal);
-  // s0 confirmed (value reconstructed from its preliminary), s1 sent a full final: the
-  // merged final is a full value, not a confirmation.
-  EXPECT_FALSE(c.LatestView().confirmed_preliminary);
-  EXPECT_EQ(EntryValues(c.Final().value()), (std::vector<std::string>{"s0/k0", "s1/k1"}));
-}
-
 TEST(BindingRouter, ShardFinalErrorFailsTheMergedFinal) {
   RouterFixture f;
   f.s1->fail_final = Status::Unavailable("shard 1 down");
-  auto c = f.client.Invoke(Operation::MultiGet({"k0", "k1"}));
+  auto c = f.client.Invoke(Operation::MultiGet({"k1", "k3"}));
   ASSERT_EQ(c.state(), CorrectableState::kError);
   EXPECT_EQ(c.error().code(), StatusCode::kUnavailable);
-  // The merged preliminary still got through before the final failed.
+  // The preliminary still got through before the final failed.
   EXPECT_EQ(c.views_delivered(), 1);
 
-  // A shard answering without one entry per key fails too, whether it served the whole
-  // multiget or one slice of a scatter-gather.
+  // A shard answering without one entry per key fails too.
   f.s1->fail_final = Status::Ok();
   f.s0->omit_entries = true;
   auto whole = f.client.InvokeStrong(Operation::MultiGet({"k0", "k2"}));
-  auto slice = f.client.InvokeStrong(Operation::MultiGet({"k0", "k1"}));
   EXPECT_EQ(whole.error().code(), StatusCode::kInternal);
-  EXPECT_EQ(slice.error().code(), StatusCode::kInternal);
 }
 
 TEST(BindingRouter, EmptyMultigetRejected) {
@@ -320,11 +255,14 @@ TEST(BindingRouter, RebalanceMidWindowReRoutesThePendingBatch) {
   EXPECT_EQ(s1->planned_ops[0].key, "kb");
 }
 
-TEST(BindingRouter, CrossShardMultiPutRejectedWhenBypassingTheScheduler) {
+TEST(BindingRouter, CrossShardBatchesRejectedWhenBypassingTheScheduler) {
   RouterFixture f;
-  auto c = f.client.InvokeStrong(Operation::MultiPut({"k0", "k1"}, {"a", "b"}));
-  ASSERT_EQ(c.state(), CorrectableState::kError);
-  EXPECT_EQ(c.error().code(), StatusCode::kInvalidArgument);
+  auto puts = f.client.InvokeStrong(Operation::MultiPut({"k0", "k1"}, {"a", "b"}));
+  auto gets = f.client.Invoke(Operation::MultiGet({"k1", "k0"}));
+  for (const auto& c : {puts, gets}) {
+    ASSERT_EQ(c.state(), CorrectableState::kError);
+    EXPECT_EQ(c.error().code(), StatusCode::kInvalidArgument);
+  }
   EXPECT_EQ(f.s0->plans, 0);
   EXPECT_EQ(f.s1->plans, 0);
 }
@@ -352,21 +290,30 @@ TEST(BindingRouter, OneNonBatchingShardDisablesBatchingForTheWholeRouter) {
   EXPECT_FALSE(f.router->SupportsBatchedReads());
   EXPECT_FALSE(f.router->SupportsBatchedWrites());
 
-  // And with batching advertised off, windowed writes fall back to per-write launches.
+  // And with batching advertised off, windowed reads and writes fall back to the
+  // same-tick path: each is planned at submission as its own single-key operation.
   EventLoop loop;
   CorrectableClient client(f.router, &loop);
   BatchConfig batch;
   batch.batch_window = Millis(5);
   client.SetBatchConfig(batch);
+  auto r1 = client.InvokeStrong(Operation::Get("k0"));
+  auto r2 = client.InvokeStrong(Operation::Get("k2"));
+  ASSERT_EQ(f.s0->planned_ops.size(), 2u);
+  EXPECT_EQ(f.s0->planned_ops[0].type, OpType::kGet);
+  EXPECT_EQ(f.s0->planned_ops[1].type, OpType::kGet);
+  EXPECT_EQ(r1.state(), CorrectableState::kFinal);  // before the loop ever ran
+  EXPECT_EQ(r2.state(), CorrectableState::kFinal);
   auto a = client.InvokeStrong(Operation::Put("k0", "a"));
   auto b = client.InvokeStrong(Operation::Put("k2", "b"));
   loop.Run();
   EXPECT_EQ(a.state(), CorrectableState::kFinal);
   EXPECT_EQ(b.state(), CorrectableState::kFinal);
-  ASSERT_EQ(f.s0->planned_ops.size(), 2u);
-  EXPECT_EQ(f.s0->planned_ops[0].type, OpType::kPut);
-  EXPECT_EQ(f.s0->planned_ops[1].type, OpType::kPut);
+  ASSERT_EQ(f.s0->planned_ops.size(), 4u);
+  EXPECT_EQ(f.s0->planned_ops[2].type, OpType::kPut);
+  EXPECT_EQ(f.s0->planned_ops[3].type, OpType::kPut);
   EXPECT_EQ(client.stats().batched_writes, 0);
+  EXPECT_EQ(client.stats().cross_tick_batches, 0);
 }
 
 // --- Live ring installation (ApplyRing) -----------------------------------------------

@@ -94,15 +94,6 @@ TEST(Operation, Factories) {
   EXPECT_TRUE(multi.IsRead());
 }
 
-TEST(Operation, WireBytesGrowWithPayload) {
-  EXPECT_GT(Operation::Put("key", "0123456789").WireBytes(),
-            Operation::Put("key", "").WireBytes());
-  EXPECT_EQ(Operation::Put("key", "0123456789").WireBytes(),
-            kRequestHeaderBytes + 3 + 10);
-  EXPECT_GT(Operation::MultiGet({"a", "b", "c"}).WireBytes(),
-            Operation::MultiGet({"a"}).WireBytes());
-}
-
 TEST(Operation, ToStringIsReadable) {
   EXPECT_EQ(Operation::Get("user1").ToString(), "GET(user1)");
   EXPECT_EQ(Operation::Put("k", "xyz").ToString(), "PUT(k, 3B)");

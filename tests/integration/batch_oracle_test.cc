@@ -253,22 +253,19 @@ TEST(BatchOracle, CrashFailoverRecoveryAcrossWidths) {
 }
 
 // The same oracle over the cached-causal stack: a two-level binding whose weakest level
-// is the client cache, so batched flushes interleave with synchronous cache views and
-// write-through refreshes.
-void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
-  SCOPED_TRACE("causal window_us=" + std::to_string(window));
+// is the client cache, so same-tick coalesced reads interleave with synchronous cache
+// views and write-through refreshes. The binding plans no batched operations, so a batch
+// window would change nothing here.
+TEST(BatchOracle, CachedCausalSameTick) {
+  const uint64_t seed = SeedFromEnv();
   SimWorld world(seed + 7);
-  BatchConfig batch;
-  batch.batch_window = window;
-  auto stack = MakeCausalStack(world, CausalConfig{}, Region::kIreland, Region::kIreland,
-                               {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
-                               batch);
+  auto stack = MakeCausalStack(world);
   for (int i = 0; i < kKeys; ++i) {
     stack.cluster->Preload(OracleKey(i), "init");
   }
 
   IcgContractChecker checker;
-  Rng rng(seed * 17 + static_cast<uint64_t>(window));
+  Rng rng(seed * 17);
   int writes = 0;
   for (int i = 0; i < 200; ++i) {
     RandomOp op;
@@ -293,8 +290,7 @@ void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
       },
       "coordinating replica");
   ExpectContract(checker, "causal");
-  // Write-through coherence survived batching: the cache never holds a value that was
-  // never written.
+  // Write-through coherence: the cache never holds a value that was never written.
   for (int i = 0; i < kKeys; ++i) {
     const auto cached = stack.cache->Get(OracleKey(i));
     if (!cached.has_value() || !cached->found) {
@@ -305,16 +301,9 @@ void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
   }
 }
 
-TEST(BatchOracle, CachedCausalAcrossWindows) {
-  const uint64_t seed = SeedFromEnv();
-  for (const SimDuration window : {Millis(0), Millis(5)}) {
-    RunCausalOracleTrial(window, seed);
-  }
-}
-
 // --- Per-key fidelity of batched fan-out: a batched read must report exactly what a
-// lone read would — including found-but-empty values, misses sharing the batch with
-// hits, and each key's own version (not the batch-wide freshest).
+// lone read would — including found-but-empty values and misses sharing the batch with
+// hits.
 TEST(BatchOracle, EmptyValuesAndMissesSurviveBatchedFanout) {
   SimWorld world(5, 0.0);
   BatchConfig batch;
@@ -367,35 +356,6 @@ TEST(BatchOracle, SeparatorByteSurvivesBatchedFanout) {
   EXPECT_EQ(b.Final().value().value, "z");
 }
 
-TEST(BatchOracle, BatchedCacheRefreshKeepsPerKeyVersions) {
-  SimWorld world(6, 0.0);
-  BatchConfig batch;
-  batch.batch_window = Millis(5);
-  auto stack = MakeCausalStack(world, CausalConfig{}, Region::kIreland, Region::kIreland,
-                               {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
-                               batch);
-  // "slow" was written long before "fast": very different true versions.
-  stack.cluster->ReplicaIn(Region::kIreland)->LocalPut("slow", "old", Version{2, 1});
-  stack.cluster->ReplicaIn(Region::kIreland)->LocalPut("fast", "new", Version{900, 1});
-
-  // One batched read covers both; the refresh must install "slow" under ITS version,
-  // not the batch-wide max, or the version-guarded cache would wedge.
-  auto a = stack.client->Invoke(Operation::Get("slow"));
-  auto b = stack.client->Invoke(Operation::Get("fast"));
-  world.loop().Run();
-  ASSERT_EQ(a.state(), CorrectableState::kFinal);
-  ASSERT_EQ(b.state(), CorrectableState::kFinal);
-  ASSERT_TRUE(stack.cache->Get("slow").has_value());
-  EXPECT_EQ(stack.cache->Get("slow")->version, (Version{2, 1}));
-  // A later legitimate update of "slow" (version 3 > 2, but << 900) must still refresh.
-  OpResult update;
-  update.found = true;
-  update.value = "updated";
-  update.version = Version{3, 1};
-  stack.cache->Refresh("slow", update);
-  EXPECT_EQ(stack.cache->Get("slow")->value, "updated");
-}
-
 // --- Scope agreement (regression for the "CoalescingScope consulted only for reads"
 // audit): for every binding, a key's write must batch under exactly the scope its reads
 // batch under — otherwise a routed write could flush through the wrong coordinator.
@@ -403,9 +363,9 @@ TEST(BatchOracle, ReadAndWriteScopesAgreeForEveryBinding) {
   SimWorld world(3);
   auto cassandra = MakeCassandraStack(world, KvConfig{}, CassandraBindingConfig{});
   auto sharded = MakeShardedCassandraStack(world, 3, KvConfig{}, CassandraBindingConfig{});
-  auto news = MakeNewsStack(world, PbConfig{});
-  auto causal = MakeCausalStack(world, CausalConfig{});
-  auto zookeeper = MakeZooKeeperStack(world, ZabConfig{});
+  auto news = MakeNewsStack(world);
+  auto causal = MakeCausalStack(world);
+  auto zookeeper = MakeZooKeeperStack(world);
   // Scope is independent of the backing store, so a detached binding instance suffices.
   BlockchainBinding blockchain(nullptr);
 

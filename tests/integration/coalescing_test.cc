@@ -59,7 +59,7 @@ TEST(CoalescingCassandra, ReadsInDifferentTicksPayFullPrice) {
 
 TEST(CoalescingNews, ColdCacheFanoutSharedAcrossSameTickReaders) {
   SimWorld world(1, 0.0);
-  auto stack = MakeNewsStack(world, PbConfig{});
+  auto stack = MakeNewsStack(world);
   stack.cluster->Preload("front-page", "headline");
 
   auto a = stack.client->Invoke(Operation::Get("front-page"));
@@ -86,7 +86,7 @@ TEST(CoalescingNews, ColdCacheFanoutSharedAcrossSameTickReaders) {
 
 TEST(CoalescingCausal, CachedCausalStackCoalescesAndStaysCoherent) {
   SimWorld world(1, 0.0);
-  auto stack = MakeCausalStack(world, CausalConfig{});
+  auto stack = MakeCausalStack(world);
   stack.cluster->Preload("k", "v");
 
   auto a = stack.client->Invoke(Operation::Get("k"));

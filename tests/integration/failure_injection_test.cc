@@ -2,6 +2,9 @@
 // resulting Correctable error/timeout behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/harness/deployment.h"
 
 namespace icg {
@@ -92,7 +95,7 @@ TEST(KvFailures, CrashedReplicaMissesWritesUntilReadRepair) {
 
 TEST(ZabFailures, MinorityFollowerCrashHarmless) {
   SimWorld world(4, 0.0);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{});
+  auto stack = MakeZooKeeperStack(world);
   world.network().Crash(stack.cluster->ServerIn(Region::kVirginia)->id());
   auto c = stack.client->InvokeStrong(Operation::Enqueue("q", "x"));
   world.loop().Run();
@@ -102,7 +105,7 @@ TEST(ZabFailures, MinorityFollowerCrashHarmless) {
 
 TEST(ZabFailures, LeaderPartitionBlocksCommits) {
   SimWorld world(5, 0.0);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{});
+  auto stack = MakeZooKeeperStack(world);
   stack.client->SetTimeout(Seconds(3));
   ZabServer* leader = stack.cluster->leader();
   for (const auto& server : stack.cluster->servers()) {
@@ -118,7 +121,7 @@ TEST(ZabFailures, LeaderPartitionBlocksCommits) {
 
 TEST(ZabFailures, MessageLossToleratedByRetriesAtRecipeLevel) {
   SimWorld world(6, 0.0);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{});
+  auto stack = MakeZooKeeperStack(world);
   stack.cluster->PreloadQueue("q", 5, "t");
   // Low loss on every link; the ZK dequeue recipe's read-retry structure and Zab's
   // majority quorum absorb occasional losses. (Deterministic seed: this particular run
@@ -152,6 +155,30 @@ TEST(ClientTimeoutFailures, TimeoutDoesNotLeakIntoNextInvocation) {
   world.loop().Run();
   EXPECT_EQ(ok.state(), CorrectableState::kFinal);
   EXPECT_EQ(stack.client->stats().timeouts, 1);
+}
+
+// Keys for a backpressure trial on a sharded stack: three on the shard owning
+// `prefix` + "0" (one to hold the shard's slot, two to be shed) and one on another shard.
+struct HotAndCold {
+  size_t hot_shard = 0;
+  std::vector<std::string> hot;
+  std::string cold;
+};
+
+HotAndCold ProbeHotAndCold(const BindingRouter& router, const std::string& prefix) {
+  HotAndCold keys;
+  keys.hot_shard = router.ShardIndexFor(prefix + "0");
+  for (int i = 0; (keys.hot.size() < 3 || keys.cold.empty()) && i < 600; ++i) {
+    const std::string key = prefix + std::to_string(i);
+    if (router.ShardIndexFor(key) == keys.hot_shard) {
+      if (keys.hot.size() < 3) {
+        keys.hot.push_back(key);
+      }
+    } else if (keys.cold.empty()) {
+      keys.cold = key;
+    }
+  }
+  return keys;
 }
 
 // --- Cross-tick batching under failure -----------------------------------------------
@@ -225,36 +252,54 @@ TEST(BatchFailures, StoreErrorOnBatchedReadFlushFansToExactlyThatBatch) {
 }
 
 TEST(BatchFailures, BatchedWriteRejectionFansToExactlyTheQueuedWriters) {
+  // A flushed write batch is rejected as a whole when its shard is at its outstanding
+  // limit: the router sheds the multiput, and exactly the writes queued in it fail.
   SimWorld world(11, 0.0);
+  CassandraBindingConfig binding;
+  binding.strong_read_quorum = 2;
   BatchConfig batch;
   batch.batch_window = Millis(10);
-  auto stack = MakeCausalStack(world, CausalConfig{}, Region::kIreland, Region::kIreland,
-                               {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
-                               batch);
-  stack.cluster->Preload("k1", "v1");
-  OpResult cached;
-  cached.found = true;
-  cached.value = "v1";
-  stack.cache->Put("k1", cached);
-  stack.binding->SetDisconnected(true);
+  auto stack = MakeShardedCassandraStack(world, 3, KvConfig{}, binding, Region::kIreland,
+                                         {Region::kFrankfurt, Region::kIreland,
+                                          Region::kVirginia},
+                                         batch);
+  stack.SetShardQueueLimit(1);
 
-  auto w1 = stack.client->InvokeStrong(Operation::Put("k1", "x"));
-  auto w2 = stack.client->InvokeStrong(Operation::Put("k2", "y"));
-  // A cache-level read is untouched by the batched writes' rejection.
-  auto read = stack.client->InvokeWeak(Operation::Get("k1"));
+  const auto [hot_shard, hot, cold] = ProbeHotAndCold(*stack.router(), "bw");
+  ASSERT_EQ(hot.size(), 3u);
+  ASSERT_FALSE(cold.empty());
+  stack.cluster->Preload(hot[0], "hot");
+  stack.cluster->Preload(cold, "cold");
+
+  // t=0: a strong read flushes at 10 ms and holds the hot shard's only slot for its
+  // quorum round-trip. t=12 ms: two writes to that shard queue in one cohort, whose flush
+  // at 22 ms is shed; the cold-shard read at the same instant must be admitted.
+  auto in_flight = stack.client()->InvokeStrong(Operation::Get(hot[0]));
+  Correctable<OpResult> w1 = Correctable<OpResult>::Failed(Status::Internal("unset"));
+  Correctable<OpResult> w2 = Correctable<OpResult>::Failed(Status::Internal("unset"));
+  Correctable<OpResult> healthy = Correctable<OpResult>::Failed(Status::Internal("unset"));
+  world.loop().Schedule(Millis(12), [&]() {
+    w1 = stack.client()->InvokeStrong(Operation::Put(hot[1], "x"));
+    w2 = stack.client()->InvokeStrong(Operation::Put(hot[2], "y"));
+    healthy = stack.client()->InvokeStrong(Operation::Get(cold));
+  });
   world.loop().Run();
 
+  ASSERT_EQ(in_flight.state(), CorrectableState::kFinal);
+  EXPECT_EQ(in_flight.Final().value().value, "hot");
   ASSERT_EQ(w1.state(), CorrectableState::kError);
   ASSERT_EQ(w2.state(), CorrectableState::kError);
-  EXPECT_EQ(w1.error().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(w2.error().code(), StatusCode::kUnavailable);
-  ASSERT_EQ(read.state(), CorrectableState::kFinal);
-  EXPECT_EQ(read.Final().value().value, "v1");
+  EXPECT_EQ(w1.error().code(), StatusCode::kOverloaded);
+  EXPECT_EQ(w2.error().code(), StatusCode::kOverloaded);
+  ASSERT_EQ(healthy.state(), CorrectableState::kFinal);
+  EXPECT_EQ(healthy.Final().value().value, "cold");
 
-  const ClientStats& stats = stack.client->stats();
+  const ClientStats& stats = stack.client()->stats();
   EXPECT_EQ(stats.errors, 2);
+  EXPECT_EQ(stats.overload_sheds, 2);
   EXPECT_EQ(stats.batched_writes, 2);
   EXPECT_EQ(stats.cross_tick_batches, 1);
+  EXPECT_EQ(stack.router()->ShardSheds(hot_shard), 1);  // one shed flush covered both
 }
 
 // --- Live rebalancing under failure ---------------------------------------------------
@@ -333,20 +378,7 @@ TEST(RebalanceFailures, BackpressureShedFailsExactlyTheQueuedWaiters) {
                                          batch);
   stack.SetShardQueueLimit(1);
 
-  // Probe keys: three on one shard (one in-flight + two shed), one on another.
-  std::vector<std::string> hot;
-  std::string cold;
-  const size_t hot_shard = stack.router()->ShardIndexFor("bp0");
-  for (int i = 0; (hot.size() < 3 || cold.empty()) && i < 600; ++i) {
-    const std::string key = "bp" + std::to_string(i);
-    if (stack.router()->ShardIndexFor(key) == hot_shard) {
-      if (hot.size() < 3) {
-        hot.push_back(key);
-      }
-    } else if (cold.empty()) {
-      cold = key;
-    }
-  }
+  const auto [hot_shard, hot, cold] = ProbeHotAndCold(*stack.router(), "bp");
   ASSERT_EQ(hot.size(), 3u);
   ASSERT_FALSE(cold.empty());
   for (const auto& key : hot) {

@@ -120,7 +120,7 @@ class NoOverselling : public ::testing::TestWithParam<TicketSweep> {};
 
 TEST_P(NoOverselling, SoldExactlyStock) {
   SimWorld world(31, 0.08);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{}, Region::kFrankfurt, Region::kFrankfurt,
+  auto stack = MakeZooKeeperStack(world, Region::kFrankfurt, Region::kFrankfurt,
                                   Region::kIreland);
   constexpr int64_t kStock = 30;
   stack.cluster->PreloadQueue("e", kStock, "t");

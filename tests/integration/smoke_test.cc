@@ -81,7 +81,7 @@ TEST(SmokeCassandra, WriteThenStrongReadSeesValue) {
 TEST(SmokeZooKeeper, IcgEnqueueDeliversPreliminaryThenFinal) {
   SimWorld world(1, 0.0);
   // Client IRL, session follower FRK, leader IRL: Figure 9's first configuration.
-  auto stack = MakeZooKeeperStack(world, ZabConfig{});
+  auto stack = MakeZooKeeperStack(world);
 
   std::vector<ConsistencyLevel> levels;
   SimTime prelim_at = 0;
@@ -116,7 +116,7 @@ TEST(SmokeZooKeeper, IcgEnqueueDeliversPreliminaryThenFinal) {
 
 TEST(SmokeZooKeeper, AtomicDequeueNeverDuplicates) {
   SimWorld world(1, 0.0);
-  auto stack = MakeZooKeeperStack(world, ZabConfig{});
+  auto stack = MakeZooKeeperStack(world);
   stack.cluster->PreloadQueue("q", 10, "t");
 
   std::vector<int64_t> got;
@@ -137,7 +137,7 @@ TEST(SmokeZooKeeper, AtomicDequeueNeverDuplicates) {
 
 TEST(SmokeNews, ThreeViewsArriveInLevelOrder) {
   SimWorld world(1, 0.0);
-  auto stack = MakeNewsStack(world, PbConfig{});
+  auto stack = MakeNewsStack(world);
   stack.cluster->Preload("news:top", "headline-1\nheadline-2");
   // Warm the cache so the CACHE level has content.
   stack.client->InvokeStrong(Operation::Get("news:top"));

@@ -12,13 +12,12 @@ class CausalStoreTest : public ::testing::Test {
   CausalStoreTest()
       : topology_(RttMatrix::Ec2Default()),
         network_(&loop_, &topology_, 1, 0.0),
-        cluster_(&network_, &topology_, &config_,
+        cluster_(&network_, &topology_,
                  {Region::kIreland, Region::kFrankfurt, Region::kVirginia}) {}
 
   EventLoop loop_;
   Topology topology_;
   Network network_;
-  CausalConfig config_;
   CausalCluster cluster_;
 };
 
@@ -128,15 +127,6 @@ TEST(ClientCache, PutOverwrites) {
   cache.Put("k", r2);
   EXPECT_EQ(cache.Get("k")->value, "v2");
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ClientCache, InvalidateRemoves) {
-  ClientCache cache;
-  OpResult r;
-  r.found = true;
-  cache.Put("k", r);
-  cache.Invalidate("k");
-  EXPECT_FALSE(cache.Get("k").has_value());
 }
 
 TEST(ClientCache, EvictsAtCapacity) {

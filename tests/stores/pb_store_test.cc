@@ -12,7 +12,7 @@ class PbStoreTest : public ::testing::Test {
   PbStoreTest()
       : topology_(RttMatrix::Ec2Default()),
         network_(&loop_, &topology_, 1, 0.0),
-        cluster_(&network_, &topology_, &config_,
+        cluster_(&network_, &topology_,
                  {Region::kVirginia, Region::kIreland, Region::kFrankfurt}) {
     client_ = cluster_.MakeClient(Region::kIreland, Region::kIreland);
   }
@@ -39,7 +39,6 @@ class PbStoreTest : public ::testing::Test {
   EventLoop loop_;
   Topology topology_;
   Network network_;
-  PbConfig config_;
   PbCluster cluster_;
   std::unique_ptr<PbClient> client_;
 };

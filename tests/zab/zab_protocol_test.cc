@@ -13,7 +13,7 @@ class ZabTest : public ::testing::Test {
 
   ZooKeeperStack MakeStack(Region client = Region::kIreland, Region session = Region::kFrankfurt,
                            Region leader = Region::kIreland) {
-    return MakeZooKeeperStack(world_, ZabConfig{}, client, session, leader);
+    return MakeZooKeeperStack(world_, client, session, leader);
   }
 
   SimWorld world_;
@@ -67,7 +67,7 @@ TEST_F(ZabTest, StateConsistentUnderJitterReordering) {
   // With jitter, commit messages can overtake each other; the apply path must still
   // produce identical queue contents on every server.
   SimWorld jittery(/*seed=*/11, /*jitter_sigma=*/0.4);
-  auto stack = MakeZooKeeperStack(jittery, ZabConfig{});
+  auto stack = MakeZooKeeperStack(jittery);
   auto second = AddZooKeeperClient(jittery, stack, Region::kVirginia, Region::kVirginia);
   for (int i = 0; i < 30; ++i) {
     stack.zab_client->Enqueue("q", "a" + std::to_string(i), false,
@@ -95,7 +95,7 @@ TEST_F(ZabTest, SessionThroughLeaderSkipsForwardHop) {
   world_.loop().Run();
 
   SimWorld world2(/*seed=*/3, /*jitter_sigma=*/0.0);
-  auto via_leader = MakeZooKeeperStack(world2, ZabConfig{}, Region::kIreland, Region::kIreland,
+  auto via_leader = MakeZooKeeperStack(world2, Region::kIreland, Region::kIreland,
                                        Region::kIreland);
   SimTime leader_final = 0;
   via_leader.zab_client->Enqueue("q", "x", false,
@@ -193,7 +193,7 @@ TEST_F(ZabTest, GetChildrenBytesGrowWithQueueSize) {
   world_.loop().Run();
   const int64_t small_bytes = stack.zab_client->LinkBytes();
 
-  auto big = MakeZooKeeperStack(world_, ZabConfig{});
+  auto big = MakeZooKeeperStack(world_);
   big.cluster->PreloadQueue("q", 1000, "t");
   big.zab_client->GetChildren("q", [](std::vector<int64_t>) {});
   world_.loop().Run();
