@@ -786,7 +786,7 @@ void KvReplica::Recover() {
     last_recovery_.snapshot_entries = storage_.size();
   }
   const Wal::ReplayResult replay =
-      wal_.Replay(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
+      wal_.Recover(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
         ApplyLww(record.key, VersionedValue{record.value, record.version}, /*log=*/false);
         replayed_keys.insert(record.key);
       });

@@ -1,90 +1,95 @@
 #include "src/kvstore/snapshot.h"
 
 #include <cstring>
-#include <string_view>
 
 #include "src/common/digest.h"
 
 namespace icg {
 namespace {
 
-void PutU32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
+constexpr size_t kHeaderBytes = 8 + 8;  // covered_lsn + entries
+// timestamp + writer + key_len + value_len
+constexpr size_t kRecordHeaderBytes = 8 + 4 + 4 + 4;
+constexpr size_t kChecksumBytes = 8;
+
+template <typename T>
+char* Put(char* at, T v) {
+  std::memcpy(at, &v, sizeof v);
+  return at + sizeof v;
 }
 
-void PutU64(std::string& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
+char* PutBytes(char* at, std::string_view bytes) {
+  std::memcpy(at, bytes.data(), bytes.size());
+  return at + bytes.size();
 }
 
-uint32_t GetU32(const std::string& in, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, in.data() + at, 4);
-  return v;
-}
-
-uint64_t GetU64(const std::string& in, size_t at) {
-  uint64_t v;
-  std::memcpy(&v, in.data() + at, 8);
+template <typename T>
+T Get(std::string_view in, size_t at) {
+  T v;
+  std::memcpy(&v, in.data() + at, sizeof v);
   return v;
 }
 
 }  // namespace
 
 void SnapshotManager::Take(const KvStore& storage, uint64_t through_lsn) {
-  std::string image;
-  PutU64(image, through_lsn);
-  PutU64(image, storage.size());
+  size_t size = kHeaderBytes + kChecksumBytes;
   for (const auto& [key, vv] : storage) {
-    PutU64(image, static_cast<uint64_t>(vv.version.timestamp));
-    PutU32(image, static_cast<uint32_t>(vv.version.writer));
-    PutU32(image, static_cast<uint32_t>(key.size()));
-    PutU32(image, static_cast<uint32_t>(vv.value.size()));
-    image.append(key);
-    image.append(vv.value.view());
+    size += kRecordHeaderBytes + key.size() + vv.value.size();
   }
-  const Digest checksum = Fnv1a(image);
-  PutU64(image, checksum);
+  auto image = std::make_unique_for_overwrite<char[]>(size);
+  char* at = Put(image.get(), through_lsn);
+  at = Put(at, static_cast<uint64_t>(storage.size()));
+  for (const auto& [key, vv] : storage) {
+    at = Put(at, static_cast<uint64_t>(vv.version.timestamp));
+    at = Put(at, static_cast<uint32_t>(vv.version.writer));
+    at = Put(at, static_cast<uint32_t>(key.size()));
+    at = Put(at, static_cast<uint32_t>(vv.value.size()));
+    at = PutBytes(at, key);
+    at = PutBytes(at, vv.value.view());
+  }
+  Put(at, Xxh64(std::string_view(image.get(), size - kChecksumBytes)));
   image_ = std::move(image);  // atomic replace: temp-write + rename in a real system
+  image_size_ = size;
   covered_lsn_ = through_lsn;
   snapshots_taken_ += 1;
 }
 
-bool SnapshotManager::Load(KvStore* out, uint64_t* through_lsn) const {
+bool SnapshotManager::Load(std::string_view image, KvStore* out, uint64_t* through_lsn) {
   out->clear();
   *through_lsn = 0;
-  if (image_.size() < 24) {
+  if (image.size() < kHeaderBytes + kChecksumBytes) {
     return false;
   }
-  const size_t body = image_.size() - 8;
-  const Digest stored = GetU64(image_, body);
-  if (stored != Fnv1a(std::string_view(image_.data(), body))) {
+  const size_t body = image.size() - kChecksumBytes;
+  if (Get<uint64_t>(image, body) != Xxh64(image.substr(0, body))) {
     return false;
   }
-  const uint64_t covered = GetU64(image_, 0);
-  const uint64_t entries = GetU64(image_, 8);
-  size_t at = 16;
+  const uint64_t covered = Get<uint64_t>(image, 0);
+  const uint64_t entries = Get<uint64_t>(image, 8);
+  size_t at = kHeaderBytes;
   for (uint64_t i = 0; i < entries; ++i) {
-    if (body - at < 20) {
+    if (body - at < kRecordHeaderBytes) {
       out->clear();
       return false;
     }
     VersionedValue vv;
-    vv.version.timestamp = static_cast<SimTime>(GetU64(image_, at));
-    vv.version.writer = static_cast<NodeId>(GetU32(image_, at + 8));
-    const size_t key_len = GetU32(image_, at + 12);
-    const size_t value_len = GetU32(image_, at + 16);
-    at += 20;
+    vv.version.timestamp = static_cast<SimTime>(Get<uint64_t>(image, at));
+    vv.version.writer = static_cast<NodeId>(Get<uint32_t>(image, at + 8));
+    const size_t key_len = Get<uint32_t>(image, at + 12);
+    const size_t value_len = Get<uint32_t>(image, at + 16);
+    at += kRecordHeaderBytes;
     if (body - at < key_len + value_len) {
       out->clear();
       return false;
     }
-    vv.value = std::string_view(image_).substr(at + key_len, value_len);
-    *out->TryEmplace(std::string_view(image_).substr(at, key_len)).first = std::move(vv);
+    vv.value = image.substr(at + key_len, value_len);
+    *out->TryEmplace(image.substr(at, key_len)).first = std::move(vv);
     at += key_len + value_len;
+  }
+  if (at != body) {
+    out->clear();
+    return false;
   }
   *through_lsn = covered;
   return true;

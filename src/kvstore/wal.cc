@@ -135,6 +135,14 @@ Wal::ReplayResult Wal::Replay(uint64_t from_lsn,
   return result;
 }
 
+Wal::ReplayResult Wal::Recover(uint64_t from_lsn,
+                               const std::function<void(const Record&)>& apply) {
+  const ReplayResult result = Replay(from_lsn, apply);
+  device_.resize(static_cast<size_t>(result.bytes_scanned));
+  synced_bytes_ = std::min(synced_bytes_, device_bytes());
+  return result;
+}
+
 void Wal::TruncateThrough(uint64_t through_lsn) {
   if (through_lsn <= truncated_through_) {
     return;

@@ -16,9 +16,10 @@
 // validates both the length header (against the remaining device bytes) and the
 // checksum; the first violation ends replay cleanly — by construction only unsynced
 // (hence unacknowledged) records can be torn, so stopping there never loses an
-// acknowledged write. Records apply under LWW, so replaying a record that is also
-// covered by a snapshot (or re-replaying the whole log) is idempotent: zero
-// duplication by version comparison, not by replay bookkeeping.
+// acknowledged write. Recover() then cuts the device after the last valid record, so a
+// torn fragment never outlives the recovery that found it. Records apply under LWW, so
+// replaying a record that is also covered by a snapshot (or re-replaying the whole log)
+// is idempotent: zero duplication by version comparison, not by replay bookkeeping.
 //
 // Determinism: the device is plain memory, Sync's latency is a fixed configured
 // duration charged on the caller's service queue, and the torn-tail cut point is a pure
@@ -76,7 +77,8 @@ class Wal {
   SimDuration Sync();
 
   // Crash simulation: the unsynced tail is lost. With torn_tail faults, a partial
-  // prefix of the first unsynced record survives (and fails validation on replay).
+  // prefix of the first unsynced record survives (and fails validation on replay) until
+  // Recover() cuts it.
   void Crash();
 
   // Replays every valid record in append order, handing each to `apply` (LWW makes the
@@ -85,6 +87,12 @@ class Wal {
   // checksum violation.
   ReplayResult Replay(uint64_t from_lsn,
                       const std::function<void(const Record&)>& apply) const;
+
+  // Recovery after Crash(): Replay, then cut the device at the end of the last valid
+  // record, dropping a torn fragment. Without the cut, records appended after recovery
+  // would lie behind the fragment, where the next Replay never reaches them and
+  // TruncateThrough would misread the fragment's length header.
+  ReplayResult Recover(uint64_t from_lsn, const std::function<void(const Record&)>& apply);
 
   // Drops the device prefix covering records with lsn <= through_lsn (snapshot
   // truncation). Synced bytes shrink accordingly; unsynced bytes are untouched.

@@ -1,13 +1,16 @@
 // WAL + snapshot durability semantics: append/sync watermarks, crash tail loss, torn
-// records, replay after a covered LSN, truncation, and snapshot load/validation.
+// records and recovery's cut of them, replay after a covered LSN, truncation, and the
+// snapshot image's layout, load and validation.
 #include "src/kvstore/wal.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/kvstore/kv_store.h"
 #include "src/kvstore/snapshot.h"
 #include "src/kvstore/versioned_value.h"
@@ -180,21 +183,120 @@ TEST(WalTest, CrashThenMoreAppendsKeepsLsnMonotone) {
   EXPECT_EQ(records[1].key, "b");
 }
 
+TEST(WalTest, RecoveryCutsTornTailSoLaterAppendsSurvive) {
+  Wal wal("w");
+  wal.SetFaults(WalFaults{.fsync_latency = 0, .torn_tail = true});
+  wal.Append("a", "1", Version{1, 1});
+  wal.Sync();
+  const int64_t valid_bytes = wal.device_bytes();
+  wal.Append("b", "2", Version{2, 1});  // torn by the crash
+  wal.Crash();
+  ASSERT_GT(wal.device_bytes(), valid_bytes);
+  std::vector<Wal::Record> records;
+  const auto recovered =
+      wal.Recover(0, [&records](const Wal::Record& r) { records.push_back(r); });
+  EXPECT_EQ(recovered.records, 1u);
+  EXPECT_TRUE(recovered.torn_tail);
+  EXPECT_EQ(wal.device_bytes(), valid_bytes);
+  EXPECT_EQ(wal.synced_bytes(), valid_bytes);
+
+  // A synced (hence acknowledgeable) record appended after recovery survives the next
+  // crash, and truncation walks whole records.
+  const uint64_t c_lsn = wal.Append("c", "3", Version{3, 1});
+  wal.Sync();
+  wal.Crash();
+  records.clear();
+  const auto result = ReplayInto(wal, &records);
+  EXPECT_FALSE(result.torn_tail);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].key, "a");
+  EXPECT_EQ(records[1].key, "c");
+  wal.TruncateThrough(c_lsn);
+  EXPECT_EQ(wal.device_bytes(), 0);
+  EXPECT_EQ(wal.synced_bytes(), 0);
+}
+
 TEST(SnapshotTest, LoadRoundTripsStorageAndCoveredLsn) {
   SnapshotManager snap("s");
   EXPECT_FALSE(snap.HasSnapshot());
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    every_byte.push_back(static_cast<char>(b));
+  }
   KvStore storage;
   Set(storage, "a", VersionedValue{"1", Version{10, 1}});
   Set(storage, "b", VersionedValue{"two", Version{20, 2}});
+  Set(storage, "empty", VersionedValue{"", Version{30, 3}});
+  Set(storage, "bytes", VersionedValue{every_byte, Version{40, 1}});
+  Set(storage, "a-key-longer-than-an-inline-string", VersionedValue{"v", Version{50, 2}});
   snap.Take(storage, /*through_lsn=*/7);
   EXPECT_TRUE(snap.HasSnapshot());
   EXPECT_EQ(snap.covered_lsn(), 7u);
   EXPECT_EQ(snap.snapshots_taken(), 1);
 
+  // The layout snapshot.h documents: a 16-byte header, a 20-byte header per record, the
+  // key and value bytes, and the 8-byte checksum of everything before it.
+  int64_t expected_bytes = 16 + 8;
+  for (const auto& [key, vv] : storage) {
+    expected_bytes += 20 + static_cast<int64_t>(key.size() + vv.value.size());
+  }
+  EXPECT_EQ(snap.image_bytes(), expected_bytes);
+  const std::string_view image = snap.image();
+  uint64_t checksum = 0;
+  std::memcpy(&checksum, image.data() + image.size() - 8, 8);
+  EXPECT_EQ(checksum, Xxh64(image.substr(0, image.size() - 8)));
+
   KvStore loaded;
   uint64_t through = 0;
   ASSERT_TRUE(snap.Load(&loaded, &through));
   EXPECT_EQ(through, 7u);
+  EXPECT_EQ(loaded, storage);
+}
+
+TEST(SnapshotTest, LoadRejectsCorruptOrTruncatedImages) {
+  SnapshotManager snap("s");
+  KvStore storage;
+  Set(storage, "key", VersionedValue{"value", Version{10, 1}});
+  Set(storage, "k2", VersionedValue{"v2", Version{20, 2}});
+  snap.Take(storage, /*through_lsn=*/7);
+  const std::string image(snap.image());
+  auto expect_rejected = [](std::string_view bytes) {
+    KvStore out;
+    Set(out, "stale", VersionedValue{"x", Version{1, 1}});
+    uint64_t through = 99;
+    EXPECT_FALSE(SnapshotManager::Load(bytes, &out, &through));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(through, 0u);
+  };
+
+  // Every single-bit flip — in the header, a record header, a key, a value or the
+  // checksum itself — fails the checksum.
+  for (size_t bit = 0; bit < image.size() * 8; ++bit) {
+    SCOPED_TRACE(bit);
+    std::string flipped = image;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    expect_rejected(flipped);
+  }
+  // So does every truncation, down to images too short to hold a header and checksum.
+  for (size_t size = 0; size < image.size(); ++size) {
+    SCOPED_TRACE(size);
+    expect_rejected(std::string_view(image).substr(0, size));
+  }
+
+  // Images whose checksum matches but whose records do not fill the body exactly.
+  auto resealed = [&image](size_t at, uint64_t field, size_t width) {
+    std::string bytes = image;
+    std::memcpy(bytes.data() + at, &field, width);
+    const uint64_t checksum = Xxh64(std::string_view(bytes).substr(0, bytes.size() - 8));
+    std::memcpy(bytes.data() + bytes.size() - 8, &checksum, 8);
+    return bytes;
+  };
+  expect_rejected(resealed(8, 3, 8));           // one entry more than the records
+  expect_rejected(resealed(8, 1, 8));           // trailing bytes after the last record
+  expect_rejected(resealed(16 + 12, 1000, 4));  // the first key runs past the body
+  KvStore loaded;
+  uint64_t through = 0;
+  EXPECT_TRUE(SnapshotManager::Load(resealed(0, 7, 8), &loaded, &through));
   EXPECT_EQ(loaded, storage);
 }
 
