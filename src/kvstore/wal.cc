@@ -1,7 +1,6 @@
 #include "src/kvstore/wal.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "src/common/digest.h"
@@ -9,27 +8,21 @@
 namespace icg {
 namespace {
 
-void PutU32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
+template <typename T>
+char* Put(char* at, T v) {
+  std::memcpy(at, &v, sizeof v);
+  return at + sizeof v;
 }
 
-void PutU64(std::string& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
+char* PutBytes(char* at, std::string_view bytes) {
+  std::memcpy(at, bytes.data(), bytes.size());
+  return at + bytes.size();
 }
 
-uint32_t GetU32(const std::string& in, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, in.data() + at, 4);
-  return v;
-}
-
-uint64_t GetU64(const std::string& in, size_t at) {
-  uint64_t v;
-  std::memcpy(&v, in.data() + at, 8);
+template <typename T>
+T Get(const char* at) {
+  T v;
+  std::memcpy(&v, at, sizeof v);
   return v;
 }
 
@@ -43,87 +36,131 @@ constexpr size_t kPayloadHeaderBytes = 8 + 8 + 4 + 4 + 4;
 uint64_t Wal::Append(std::string_view key, std::string_view value, const Version& version) {
   const uint64_t lsn = next_lsn_++;
   const size_t payload_len = kPayloadHeaderBytes + key.size() + value.size();
-  const size_t payload_start = device_.size() + kLenBytes;
-  device_.reserve(device_.size() + kLenBytes + payload_len + kChecksumBytes);
-  PutU32(device_, static_cast<uint32_t>(payload_len));
-  PutU64(device_, lsn);
-  PutU64(device_, static_cast<uint64_t>(version.timestamp));
-  PutU32(device_, static_cast<uint32_t>(version.writer));
-  PutU32(device_, static_cast<uint32_t>(key.size()));
-  PutU32(device_, static_cast<uint32_t>(value.size()));
-  device_.append(key);
-  device_.append(value);
-  const Digest checksum =
-      Fnv1a(std::string_view(device_.data() + payload_start, payload_len));
-  PutU64(device_, checksum);
+  char* const record = Reserve(kLenBytes + payload_len + kChecksumBytes);
+  char* at = Put(record, static_cast<uint32_t>(payload_len));
+  at = Put(at, lsn);
+  at = Put(at, static_cast<uint64_t>(version.timestamp));
+  at = Put(at, static_cast<uint32_t>(version.writer));
+  at = Put(at, static_cast<uint32_t>(key.size()));
+  at = Put(at, static_cast<uint32_t>(value.size()));
+  at = PutBytes(at, key);
+  at = PutBytes(at, value);
+  Put(at, Fnv1a(std::string_view(record + kLenBytes, payload_len)));
   appended_records_ += 1;
   return lsn;
+}
+
+char* Wal::Reserve(size_t n) {
+  if (chunks_.empty() || chunks_.back().capacity - chunks_.back().end < n) {
+    const size_t capacity = std::max(n, kChunkBytes);
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<char[]>(capacity), capacity, 0, 0});
+  }
+  Chunk& tail = chunks_.back();
+  char* const at = tail.bytes.get() + tail.end;
+  tail.end += n;
+  device_bytes_ += static_cast<int64_t>(n);
+  return at;
+}
+
+void Wal::CutAt(int64_t offset) {
+  while (device_bytes_ > offset) {
+    Chunk& tail = chunks_.back();
+    const int64_t live = static_cast<int64_t>(tail.end - tail.begin);
+    if (device_bytes_ - live >= offset && chunks_.size() > 1) {
+      device_bytes_ -= live;
+      chunks_.pop_back();
+    } else {
+      tail.end -= static_cast<size_t>(device_bytes_ - offset);
+      device_bytes_ = offset;
+    }
+  }
 }
 
 SimDuration Wal::Sync() {
   if (unsynced_bytes() == 0) {
     return 0;  // nothing to flush: a no-op fsync neither costs nor counts
   }
-  synced_bytes_ = device_bytes();
+  synced_bytes_ = device_bytes_;
   syncs_ += 1;
   return faults_.fsync_latency;
 }
 
 void Wal::Crash() {
+  int64_t keep = 0;
   if (faults_.torn_tail && unsynced_bytes() > 0) {
-    // The first unsynced record tears: a partial prefix made it to the medium. The cut
-    // point is a pure function of the record's bytes (no RNG) so crash trials stay
-    // bit-identical across LoopGroup widths. Cut inside the payload whenever the record
-    // is long enough for the length header to have landed, so replay sees a plausible
-    // header whose payload (or checksum) is missing or corrupt.
-    const size_t tail = static_cast<size_t>(unsynced_bytes());
-    const size_t keep =
-        tail <= kLenBytes
-            ? tail / 2
-            : kLenBytes + (tail - kLenBytes) / 2 + (device_.back() & 0x3);
-    device_.resize(static_cast<size_t>(synced_bytes_) + std::min(keep, tail));
-  } else {
-    device_.resize(static_cast<size_t>(synced_bytes_));
+    // A prefix of the unsynced tail made it to the medium: about half of it, wherever
+    // that lands. The cut point is a pure function of the tail's length and last byte
+    // (no RNG) so crash trials stay bit-identical across LoopGroup widths. Past the
+    // length header the cut falls inside a record, so replay sees a plausible header
+    // whose payload (or checksum) is missing. The last Append wrote the device's last
+    // byte at the end of the tail chunk.
+    const int64_t tail = unsynced_bytes();
+    const Chunk& last = chunks_.back();
+    const int64_t kLen = static_cast<int64_t>(kLenBytes);
+    keep = tail <= kLen ? tail / 2
+                        : kLen + (tail - kLen) / 2 + (last.bytes[last.end - 1] & 0x3);
+    keep = std::min(keep, tail);
   }
-  synced_bytes_ = device_bytes();
+  CutAt(synced_bytes_ + keep);
+  synced_bytes_ = device_bytes_;
 }
 
 Wal::ReplayResult Wal::Replay(uint64_t from_lsn,
                               const std::function<void(const Record&)>& apply) const {
   ReplayResult result;
+  for (const Chunk& chunk : chunks_) {
+    const ReplayResult part = Replay(
+        std::string_view(chunk.bytes.get() + chunk.begin, chunk.end - chunk.begin),
+        from_lsn, apply);
+    result.records += part.records;
+    if (part.records > 0) {
+      result.last_lsn = part.last_lsn;
+    }
+    result.bytes_scanned += part.bytes_scanned;
+    if (part.torn_tail) {
+      result.torn_tail = true;
+      break;
+    }
+  }
+  return result;
+}
+
+Wal::ReplayResult Wal::Replay(std::string_view bytes, uint64_t from_lsn,
+                              const std::function<void(const Record&)>& apply) {
+  ReplayResult result;
   size_t at = 0;
-  while (at < device_.size()) {
-    if (device_.size() - at < kLenBytes) {
+  while (at < bytes.size()) {
+    if (bytes.size() - at < kLenBytes) {
       result.torn_tail = true;
       break;
     }
-    const size_t payload_len = GetU32(device_, at);
+    const size_t payload_len = Get<uint32_t>(bytes.data() + at);
     if (payload_len < kPayloadHeaderBytes ||
-        device_.size() - at - kLenBytes < payload_len + kChecksumBytes) {
+        bytes.size() - at - kLenBytes < payload_len + kChecksumBytes) {
       result.torn_tail = true;
       break;
     }
-    const size_t payload_start = at + kLenBytes;
-    const Digest stored = GetU64(device_, payload_start + payload_len);
-    const Digest computed =
-        Fnv1a(std::string_view(device_.data() + payload_start, payload_len));
+    const char* const payload = bytes.data() + at + kLenBytes;
+    const Digest stored = Get<uint64_t>(payload + payload_len);
+    const Digest computed = Fnv1a(std::string_view(payload, payload_len));
     if (stored != computed) {
       result.torn_tail = true;
       break;
     }
     Record record;
-    record.lsn = GetU64(device_, payload_start);
-    record.version.timestamp = static_cast<SimTime>(GetU64(device_, payload_start + 8));
-    record.version.writer = static_cast<NodeId>(GetU32(device_, payload_start + 16));
-    const size_t key_len = GetU32(device_, payload_start + 20);
-    const size_t value_len = GetU32(device_, payload_start + 24);
+    record.lsn = Get<uint64_t>(payload);
+    record.version.timestamp = static_cast<SimTime>(Get<uint64_t>(payload + 8));
+    record.version.writer = static_cast<NodeId>(Get<uint32_t>(payload + 16));
+    const size_t key_len = Get<uint32_t>(payload + 20);
+    const size_t value_len = Get<uint32_t>(payload + 24);
     if (kPayloadHeaderBytes + key_len + value_len != payload_len) {
       result.torn_tail = true;
       break;
     }
-    record.key = device_.substr(payload_start + kPayloadHeaderBytes, key_len);
-    record.value = device_.substr(payload_start + kPayloadHeaderBytes + key_len, value_len);
-    at = payload_start + payload_len + kChecksumBytes;
+    record.key.assign(payload + kPayloadHeaderBytes, key_len);
+    record.value.assign(payload + kPayloadHeaderBytes + key_len, value_len);
+    at += kLenBytes + payload_len + kChecksumBytes;
     result.bytes_scanned = static_cast<int64_t>(at);
     if (record.lsn <= from_lsn) {
       continue;  // covered by the snapshot being recovered alongside this log
@@ -138,8 +175,8 @@ Wal::ReplayResult Wal::Replay(uint64_t from_lsn,
 Wal::ReplayResult Wal::Recover(uint64_t from_lsn,
                                const std::function<void(const Record&)>& apply) {
   const ReplayResult result = Replay(from_lsn, apply);
-  device_.resize(static_cast<size_t>(result.bytes_scanned));
-  synced_bytes_ = std::min(synced_bytes_, device_bytes());
+  CutAt(result.bytes_scanned);
+  synced_bytes_ = std::min(synced_bytes_, device_bytes_);
   return result;
 }
 
@@ -147,25 +184,42 @@ void Wal::TruncateThrough(uint64_t through_lsn) {
   if (through_lsn <= truncated_through_) {
     return;
   }
-  // Walk whole valid records from the front and drop every one covered by the snapshot.
-  // Truncation only ever touches the synced region: a snapshot cannot cover records
-  // that were never made durable.
-  size_t at = 0;
-  while (at + kLenBytes <= static_cast<size_t>(synced_bytes_)) {
-    const size_t payload_len = GetU32(device_, at);
-    const size_t record_end = at + kLenBytes + payload_len + kChecksumBytes;
-    if (record_end > static_cast<size_t>(synced_bytes_)) {
-      break;
-    }
-    const uint64_t lsn = GetU64(device_, at + kLenBytes);
-    if (lsn > through_lsn) {
-      break;
-    }
-    at = record_end;
-  }
-  device_.erase(0, at);
-  synced_bytes_ -= static_cast<int64_t>(at);
   truncated_through_ = through_lsn;
+  // Walk whole records from the front and drop every one covered by the snapshot: whole
+  // chunks are freed, and the first surviving chunk starts after the last covered
+  // record. Truncation only ever touches the synced region: a snapshot cannot cover
+  // records that were never made durable.
+  while (!chunks_.empty()) {
+    Chunk& front = chunks_.front();
+    size_t at = front.begin;
+    while (front.end - at >= kLenBytes) {
+      const size_t record_end =
+          at + kLenBytes + Get<uint32_t>(front.bytes.get() + at) + kChecksumBytes;
+      if (record_end > front.end ||
+          static_cast<int64_t>(record_end - front.begin) > synced_bytes_ ||
+          Get<uint64_t>(front.bytes.get() + at + kLenBytes) > through_lsn) {
+        break;
+      }
+      at = record_end;
+    }
+    const int64_t dropped = static_cast<int64_t>(at - front.begin);
+    device_bytes_ -= dropped;
+    synced_bytes_ -= dropped;
+    if (at < front.end || chunks_.size() == 1) {
+      front.begin = at;
+      return;
+    }
+    chunks_.pop_front();
+  }
+}
+
+std::string Wal::device() const {
+  std::string bytes;
+  bytes.reserve(static_cast<size_t>(device_bytes_));
+  for (const Chunk& chunk : chunks_) {
+    bytes.append(chunk.bytes.get() + chunk.begin, chunk.end - chunk.begin);
+  }
+  return bytes;
 }
 
 }  // namespace icg

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -25,6 +27,90 @@ void Set(KvStore& store, std::string_view key, VersionedValue vv) {
 Wal::ReplayResult ReplayInto(const Wal& wal, std::vector<Wal::Record>* out,
                              uint64_t from_lsn = 0) {
   return wal.Replay(from_lsn, [out](const Wal::Record& r) { out->push_back(r); });
+}
+
+template <typename T>
+void Put(std::string& out, T field) {
+  char bytes[sizeof field];
+  std::memcpy(bytes, &field, sizeof field);
+  out.append(bytes, sizeof field);
+}
+
+// One record in the wire format wal.h documents, built field by field:
+// [u32 len][u64 lsn][i64 ts][i32 writer][u32 klen][u32 vlen][key][value][u64 checksum].
+std::string Encode(const Wal::Record& r) {
+  std::string payload;
+  Put(payload, r.lsn);
+  Put(payload, static_cast<int64_t>(r.version.timestamp));
+  Put(payload, static_cast<int32_t>(r.version.writer));
+  Put(payload, static_cast<uint32_t>(r.key.size()));
+  Put(payload, static_cast<uint32_t>(r.value.size()));
+  payload += r.key;
+  payload += r.value;
+  std::string record;
+  Put(record, static_cast<uint32_t>(payload.size()));
+  record += payload;
+  Put(record, Fnv1a(payload));
+  return record;
+}
+
+std::string Encode(const std::vector<Wal::Record>& records) {
+  std::string bytes;
+  for (const Wal::Record& r : records) {
+    bytes += Encode(r);
+  }
+  return bytes;
+}
+
+void ExpectSameRecord(const Wal::Record& actual, const Wal::Record& expected) {
+  EXPECT_EQ(actual.lsn, expected.lsn);
+  EXPECT_EQ(actual.key, expected.key);
+  EXPECT_EQ(actual.value, expected.value);
+  EXPECT_EQ(actual.version, expected.version);
+}
+
+// The device holds exactly `bytes`, and replay applies exactly `survivors`, then stops
+// at a torn record if `torn`.
+void ExpectDevice(const Wal& wal, const std::string& bytes,
+                  const std::vector<Wal::Record>& survivors, bool torn) {
+  EXPECT_TRUE(wal.device() == bytes);  // not EXPECT_EQ: a mismatch would print ~200 KB
+  EXPECT_EQ(wal.device_bytes(), static_cast<int64_t>(bytes.size()));
+  std::vector<Wal::Record> replayed;
+  const auto result = ReplayInto(wal, &replayed);
+  EXPECT_EQ(result.torn_tail, torn);
+  EXPECT_EQ(result.bytes_scanned, static_cast<int64_t>(Encode(survivors).size()));
+  ASSERT_EQ(replayed.size(), survivors.size());
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    ExpectSameRecord(replayed[i], survivors[i]);
+  }
+}
+
+// Records of 1 KiB tile the chunks: kTilesPerChunk of them fill one exactly.
+constexpr size_t kRecordOverheadBytes = 4 + 8 + 8 + 4 + 4 + 4 + 8;
+constexpr size_t kTileBytes = 1024;
+static_assert(Wal::kChunkBytes % kTileBytes == 0);
+constexpr size_t kTilesPerChunk = Wal::kChunkBytes / kTileBytes;
+
+// Appends a record whose encoding is `bytes` long and returns it.
+Wal::Record AppendSized(Wal& wal, size_t bytes = kTileBytes) {
+  Wal::Record r;
+  r.lsn = wal.next_lsn();
+  char key[16];
+  std::snprintf(key, sizeof key, "k%07llu", static_cast<unsigned long long>(r.lsn));
+  r.key = key;
+  r.value.assign(bytes - kRecordOverheadBytes - r.key.size(),
+                 static_cast<char>('a' + r.lsn % 26));
+  r.version = Version{static_cast<SimTime>(r.lsn * 10), 1};
+  EXPECT_EQ(wal.Append(r.key, r.value, r.version), r.lsn);
+  return r;
+}
+
+// Wal::Crash's torn cut: the device keeps `synced` bytes plus about half of the
+// unsynced tail, nudged by the device's last byte.
+int64_t TornCut(int64_t synced, const std::string& device) {
+  const int64_t tail = static_cast<int64_t>(device.size()) - synced;
+  const int64_t keep = tail <= 4 ? tail / 2 : 4 + (tail - 4) / 2 + (device.back() & 0x3);
+  return synced + std::min(keep, tail);
 }
 
 TEST(WalTest, AppendAssignsIncreasingLsns) {
@@ -119,19 +205,55 @@ TEST(WalTest, TornTailCutIsDeterministic) {
 TEST(WalTest, CorruptedByteFailsChecksumAndEndsReplay) {
   Wal wal("w");
   wal.Append("a", "1", Version{1, 1});
-  wal.Append("b", "2", Version{2, 1});
-  wal.Sync();
-  // Corrupt the second record through the torn-tail machinery's replay validation by
-  // replaying a device whose tail was cut mid-record: truncate-by-hand via a fresh WAL
-  // is not exposed, so corrupt by crashing with a partial unsynced third record.
-  wal.SetFaults(WalFaults{.fsync_latency = 0, .torn_tail = true});
-  wal.Append("c", "3", Version{3, 1});
-  wal.Crash();
-  std::vector<Wal::Record> records;
-  const auto result = ReplayInto(wal, &records);
-  EXPECT_EQ(result.records, 2u);
-  EXPECT_TRUE(result.torn_tail);
-  EXPECT_EQ(result.last_lsn, 2u);
+  wal.Append("key-b", "value-two", Version{2, 3});
+  wal.Append("c", "", Version{3, 1});
+  const std::string device = wal.device();
+  const std::vector<Wal::Record> records = {{1, "a", "1", Version{1, 1}},
+                                            {2, "key-b", "value-two", Version{2, 3}},
+                                            {3, "c", "", Version{3, 1}}};
+  std::vector<size_t> ends;
+  for (const Wal::Record& r : records) {
+    ends.push_back((ends.empty() ? 0 : ends.back()) + Encode(r).size());
+  }
+  ASSERT_EQ(ends.back(), device.size());
+
+  // Every single-bit flip — in a length header, a payload field, a key, a value or a
+  // checksum — ends replay at the flipped record, after exactly the records before it.
+  for (size_t bit = 0; bit < device.size() * 8; ++bit) {
+    SCOPED_TRACE(bit);
+    std::string flipped = device;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    const size_t hit = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), bit / 8) - ends.begin());
+    std::vector<Wal::Record> applied;
+    const auto result =
+        Wal::Replay(flipped, 0, [&applied](const Wal::Record& r) { applied.push_back(r); });
+    EXPECT_TRUE(result.torn_tail);
+    EXPECT_EQ(result.records, hit);
+    EXPECT_EQ(result.bytes_scanned, hit == 0 ? 0 : static_cast<int64_t>(ends[hit - 1]));
+    ASSERT_EQ(applied.size(), hit);
+    for (size_t i = 0; i < hit; ++i) {
+      ExpectSameRecord(applied[i], records[i]);
+    }
+  }
+}
+
+TEST(WalTest, DeviceHoldsTheDocumentedEncoding) {
+  Wal wal("w");
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    every_byte.push_back(static_cast<char>(b));
+  }
+  const std::vector<Wal::Record> records = {{1, "a", "1", Version{10, 1}},
+                                            {2, "empty", "", Version{-5, 0}},
+                                            {3, every_byte, every_byte, Version{30, 7}}};
+  std::string expected;
+  for (const Wal::Record& r : records) {
+    EXPECT_EQ(wal.Append(r.key, r.value, r.version), r.lsn);
+    expected += Encode(r);
+  }
+  EXPECT_EQ(wal.device(), expected);
+  EXPECT_EQ(wal.device_bytes(), static_cast<int64_t>(expected.size()));
 }
 
 TEST(WalTest, ReplayFromLsnSkipsCoveredRecords) {
@@ -214,6 +336,145 @@ TEST(WalTest, RecoveryCutsTornTailSoLaterAppendsSurvive) {
   wal.TruncateThrough(c_lsn);
   EXPECT_EQ(wal.device_bytes(), 0);
   EXPECT_EQ(wal.synced_bytes(), 0);
+}
+
+TEST(WalTest, RecordsTileChunksAndALargerRecordGetsAChunkOfItsOwn) {
+  Wal wal("w");
+  std::vector<Wal::Record> records;
+  for (size_t i = 0; i < 3 * kTilesPerChunk + 5; ++i) {
+    records.push_back(AppendSized(wal));
+  }
+  records.push_back(AppendSized(wal, Wal::kChunkBytes + 3 * kTileBytes + 7));
+  records.push_back(AppendSized(wal, 100));
+  records.push_back(AppendSized(wal, Wal::kChunkBytes));
+  records.push_back(AppendSized(wal));
+  EXPECT_EQ(wal.Sync(), SimDuration{0});
+  const std::string bytes = Encode(records);
+  ExpectDevice(wal, bytes, records, /*torn=*/false);
+  EXPECT_EQ(wal.synced_bytes(), static_cast<int64_t>(bytes.size()));
+}
+
+TEST(WalTest, CrashCutsAnUnsyncedTailThatStartsInAFreshChunk) {
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn);
+    Wal wal("w");
+    wal.SetFaults(WalFaults{.fsync_latency = 0, .torn_tail = torn});
+    std::vector<Wal::Record> records;
+    for (size_t i = 0; i < kTilesPerChunk; ++i) {
+      records.push_back(AppendSized(wal));
+    }
+    wal.Sync();
+    const int64_t synced = wal.synced_bytes();
+    ASSERT_EQ(synced, static_cast<int64_t>(Wal::kChunkBytes));
+    for (int i = 0; i < 3; ++i) {
+      records.push_back(AppendSized(wal));  // the first chunk is full: a second opens
+    }
+    const std::string full = wal.device();
+    ASSERT_TRUE(full == Encode(records));
+    wal.Crash();
+
+    // Untorn, the device ends at the watermark. Torn, it keeps half the tail: the first
+    // unsynced record whole and part of the second.
+    const int64_t cut = torn ? TornCut(synced, full) : synced;
+    std::vector<Wal::Record> survivors(records.begin(),
+                                       records.begin() + kTilesPerChunk + (torn ? 1 : 0));
+    ExpectDevice(wal, full.substr(0, cut), survivors, torn);
+    EXPECT_EQ(wal.synced_bytes(), cut);
+
+    // Recovery cuts the torn record inside the second chunk, and later appends land
+    // right after the cut.
+    const auto recovered = wal.Recover(0, [](const Wal::Record&) {});
+    EXPECT_EQ(recovered.records, survivors.size());
+    EXPECT_EQ(recovered.torn_tail, torn);
+    const int64_t kept = static_cast<int64_t>(Encode(survivors).size());
+    EXPECT_EQ(wal.device_bytes(), kept);
+    EXPECT_EQ(wal.synced_bytes(), kept);
+    survivors.push_back(AppendSized(wal));
+    survivors.push_back(AppendSized(wal, 3 * kTileBytes));
+    wal.Sync();
+    ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+    EXPECT_EQ(wal.synced_bytes(), wal.device_bytes());
+  }
+}
+
+TEST(WalTest, RecoverCutsBackAcrossAChunkBoundary) {
+  Wal wal("w");
+  wal.SetFaults(WalFaults{.fsync_latency = 0, .torn_tail = true});
+  std::vector<Wal::Record> records;
+  for (size_t i = 0; i < kTilesPerChunk; ++i) {
+    records.push_back(AppendSized(wal));
+  }
+  wal.Sync();
+  const int64_t synced = wal.synced_bytes();
+  for (size_t i = 0; i < 2 * kTilesPerChunk; ++i) {
+    records.push_back(AppendSized(wal));  // fills the second and third chunks
+  }
+  const std::string full = wal.device();
+  wal.Crash();
+
+  // Half of a two-chunk tail: the whole second chunk survives, and the cut lands a few
+  // bytes into the third, inside the first record's length header or just past it.
+  const int64_t cut = TornCut(synced, full);
+  ASSERT_GT(cut, 2 * static_cast<int64_t>(Wal::kChunkBytes));
+  ASSERT_LT(cut, 2 * static_cast<int64_t>(Wal::kChunkBytes) + 8);
+  std::vector<Wal::Record> survivors(records.begin(), records.begin() + 2 * kTilesPerChunk);
+  ExpectDevice(wal, full.substr(0, cut), survivors, /*torn=*/true);
+  EXPECT_EQ(wal.synced_bytes(), cut);
+
+  // Recovery cuts back to the end of the second chunk, and the third goes.
+  const auto recovered = wal.Recover(0, [](const Wal::Record&) {});
+  EXPECT_EQ(recovered.records, survivors.size());
+  EXPECT_TRUE(recovered.torn_tail);
+  EXPECT_EQ(recovered.last_lsn, survivors.back().lsn);
+  EXPECT_EQ(wal.device_bytes(), 2 * static_cast<int64_t>(Wal::kChunkBytes));
+  EXPECT_EQ(wal.synced_bytes(), wal.device_bytes());
+  ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+
+  // Later appends land after the cut and survive the next crash once synced.
+  survivors.push_back(AppendSized(wal));
+  survivors.push_back(AppendSized(wal, 200));
+  wal.Sync();
+  wal.Crash();
+  ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+  EXPECT_EQ(wal.synced_bytes(), wal.device_bytes());
+}
+
+TEST(WalTest, TruncateThroughTheMiddleOfTheSecondChunk) {
+  Wal wal("w");
+  std::vector<Wal::Record> records;
+  for (size_t i = 0; i < kTilesPerChunk + kTilesPerChunk / 2; ++i) {
+    records.push_back(AppendSized(wal));
+  }
+  wal.Sync();
+  const size_t synced = records.size();
+  for (size_t i = 0; i < kTilesPerChunk; ++i) {
+    records.push_back(AppendSized(wal));  // unsynced, into the third chunk
+  }
+
+  // Through an LSN in the middle of the second chunk: the first chunk goes whole, and
+  // the second now starts at the first surviving record.
+  const size_t covered = kTilesPerChunk + kTilesPerChunk / 4;
+  wal.TruncateThrough(records[covered - 1].lsn);
+  EXPECT_EQ(wal.truncated_through(), records[covered - 1].lsn);
+  std::vector<Wal::Record> survivors(records.begin() + covered, records.end());
+  ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+  EXPECT_EQ(wal.synced_bytes(), static_cast<int64_t>((synced - covered) * kTileBytes));
+
+  // A crash cuts at the watermark inside the truncated chunk, and appends land after it.
+  wal.Crash();
+  survivors.resize(synced - covered);
+  ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+  EXPECT_EQ(wal.synced_bytes(), wal.device_bytes());
+  survivors.push_back(AppendSized(wal));
+  wal.Sync();
+  survivors.push_back(AppendSized(wal));  // unsynced
+
+  // Truncation stops at the watermark even when the LSN covers every record.
+  wal.TruncateThrough(wal.next_lsn());
+  survivors.erase(survivors.begin(), survivors.end() - 1);
+  ExpectDevice(wal, Encode(survivors), survivors, /*torn=*/false);
+  EXPECT_EQ(wal.synced_bytes(), 0);
+  EXPECT_EQ(wal.unsynced_bytes(), static_cast<int64_t>(kTileBytes));
 }
 
 TEST(SnapshotTest, LoadRoundTripsStorageAndCoveredLsn) {
