@@ -1,6 +1,8 @@
 // Content digests for the confirmation optimization (§5.2 of the paper): a final view
 // whose digest matches the preliminary is replaced by a small confirmation message.
-// Xxh64 checksums bulk data (snapshot images) a word at a time.
+// Xxh64 hashes a word at a time: it digests values (ValueDigest) and checksums snapshot
+// images. Fnv1a stays only where its values are outputs: partitioner tokens and the
+// YCSB key scrambler.
 #ifndef ICG_COMMON_DIGEST_H_
 #define ICG_COMMON_DIGEST_H_
 
@@ -14,23 +16,15 @@ namespace icg {
 
 using Digest = uint64_t;
 
-// FNV-1a 64-bit. Not cryptographic; collision resistance adequate for a simulation where
-// digests only compare a preliminary view with its own final view.
+// FNV-1a 64-bit, one byte at a time. Not cryptographic. Partitioner ring tokens and the
+// YCSB key scrambler are built on its values, so changing it would move every key's
+// placement and every workload's key sequence.
 constexpr Digest Fnv1a(std::string_view data) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : data) {
     hash ^= static_cast<uint8_t>(c);
     hash *= 0x100000001b3ULL;
   }
-  return hash;
-}
-
-// Digest of a value plus its version; two views are "the same" only if both the bytes
-// and the version agree, mirroring Cassandra's digest reads.
-constexpr Digest ValueDigest(std::string_view value, int64_t version_timestamp) {
-  uint64_t hash = Fnv1a(value);
-  hash ^= static_cast<uint64_t>(version_timestamp) + 0x9e3779b97f4a7c15ULL + (hash << 6) +
-          (hash >> 2);
   return hash;
 }
 
@@ -91,6 +85,16 @@ inline Digest Xxh64(std::string_view data) {
   hash ^= hash >> 29;
   hash *= kP3;
   hash ^= hash >> 32;
+  return hash;
+}
+
+// Digest of a value plus its version; two views are "the same" only if both the bytes
+// and the version agree, mirroring Cassandra's digest reads. Digests are only compared
+// with each other, never printed or fingerprinted, so the hash beneath them may change.
+inline Digest ValueDigest(std::string_view value, int64_t version_timestamp) {
+  uint64_t hash = Xxh64(value);
+  hash ^= static_cast<uint64_t>(version_timestamp) + 0x9e3779b97f4a7c15ULL + (hash << 6) +
+          (hash >> 2);
   return hash;
 }
 
