@@ -1,8 +1,8 @@
 // Content digests for the confirmation optimization (§5.2 of the paper): a final view
 // whose digest matches the preliminary is replaced by a small confirmation message.
-// Xxh64 hashes a word at a time: it digests values (ValueDigest) and checksums snapshot
-// images. Fnv1a stays only where its values are outputs: partitioner tokens and the
-// YCSB key scrambler.
+// Xxh64 hashes a word at a time: it checksums WAL records and snapshot images and
+// digests values (ValueDigest). Fnv1a stays only where its values are outputs:
+// partitioner tokens and the YCSB key scrambler.
 #ifndef ICG_COMMON_DIGEST_H_
 #define ICG_COMMON_DIGEST_H_
 

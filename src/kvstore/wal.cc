@@ -45,7 +45,7 @@ uint64_t Wal::Append(std::string_view key, std::string_view value, const Version
   at = Put(at, static_cast<uint32_t>(value.size()));
   at = PutBytes(at, key);
   at = PutBytes(at, value);
-  Put(at, Fnv1a(std::string_view(record + kLenBytes, payload_len)));
+  Put(at, Xxh64(std::string_view(record + kLenBytes, payload_len)));
   appended_records_ += 1;
   return lsn;
 }
@@ -143,7 +143,7 @@ Wal::ReplayResult Wal::Replay(std::string_view bytes, uint64_t from_lsn,
     }
     const char* const payload = bytes.data() + at + kLenBytes;
     const Digest stored = Get<uint64_t>(payload + payload_len);
-    const Digest computed = Fnv1a(std::string_view(payload, payload_len));
+    const Digest computed = Xxh64(std::string_view(payload, payload_len));
     if (stored != computed) {
       result.torn_tail = true;
       break;

@@ -10,12 +10,14 @@
 // Record wire format (all integers little-endian, fixed width):
 //
 //   [u32 payload_len][u64 lsn][i64 version.timestamp][i32 version.writer]
-//   [u32 key_len][u32 value_len][key bytes][value bytes][u64 fnv1a(payload)]
+//   [u32 key_len][u32 value_len][key bytes][value bytes][u64 xxh64(payload)]
 //
-// `payload_len` counts everything between itself and the trailing checksum. Replay
-// validates both the length header (against the remaining device bytes) and the
-// checksum; the first violation ends replay cleanly — by construction only unsynced
-// (hence unacknowledged) records can be torn, so stopping there never loses an
+// `payload_len` counts everything between itself and the trailing checksum. The
+// checksum is Xxh64 (src/common/digest.h), which hashes the payload a word at a time:
+// every preloaded key is logged on every replica, so it runs over every byte a preload
+// writes. Replay validates both the length header (against the remaining device bytes)
+// and the checksum; the first violation ends replay cleanly — by construction only
+// unsynced (hence unacknowledged) records can be torn, so stopping there never loses an
 // acknowledged write. Recover() then cuts the device after the last valid record, so a
 // torn fragment never outlives the recovery that found it. Records apply under LWW, so
 // replaying a record that is also covered by a snapshot (or re-replaying the whole log)
@@ -33,8 +35,10 @@
 //
 // Determinism: the device is plain memory, Sync's latency is a fixed configured
 // duration charged on the caller's service queue, and the torn-tail cut point is a pure
-// function of the unsynced tail's length and last byte — no entropy, so crash trials
-// fingerprint identically at every LoopGroup width.
+// function of the unsynced tail's length and last byte (see Crash) — no entropy, so
+// crash trials fingerprint identically at every LoopGroup width. That last byte is the
+// last record's top checksum byte, so the checksum is part of the cut: changing it moves
+// every torn-tail crash trial.
 #ifndef ICG_KVSTORE_WAL_H_
 #define ICG_KVSTORE_WAL_H_
 
@@ -62,9 +66,10 @@ struct WalFaults {
 
 class Wal {
  public:
-  // Capacity of a device chunk. A constant chosen by measuring peak RSS on the
-  // benchmark's workloads: chunks far below the allocator's mmap threshold are reused
-  // from its free lists once truncation frees them.
+  // Capacity of a device chunk, chosen by measuring peak RSS on the benchmark's four
+  // workloads with chunks of 16 KiB to 1 MiB: 64 KiB read lowest, or within 0.1 MB of
+  // it, on three of them. It sits below glibc's default mmap threshold (128 KiB), so
+  // chunks come from the heap and truncation returns them to its free lists.
   static constexpr size_t kChunkBytes = size_t{64} << 10;
 
   struct Record {

@@ -50,7 +50,7 @@ std::string Encode(const Wal::Record& r) {
   std::string record;
   Put(record, static_cast<uint32_t>(payload.size()));
   record += payload;
-  Put(record, Fnv1a(payload));
+  Put(record, Xxh64(payload));
   return record;
 }
 
