@@ -87,22 +87,21 @@ SimDuration Wal::Sync() {
 }
 
 void Wal::Crash() {
-  int64_t keep = 0;
+  size_t keep = 0;
   if (faults_.torn_tail && unsynced_bytes() > 0) {
-    // A prefix of the unsynced tail made it to the medium: about half of it, wherever
-    // that lands. The cut point is a pure function of the tail's length and last byte
-    // (no RNG) so crash trials stay bit-identical across LoopGroup widths. Past the
-    // length header the cut falls inside a record, so replay sees a plausible header
-    // whose payload (or checksum) is missing. The last Append wrote the device's last
-    // byte at the end of the tail chunk.
-    const int64_t tail = unsynced_bytes();
+    // About half of the unsynced tail made it to the medium (the rule in wal.h). The cut
+    // is a pure function of the tail's length and the device's last byte (no RNG), so
+    // crash trials stay bit-identical across LoopGroup widths. Keeping the first length
+    // header whole lets replay see a plausible header whose payload or checksum is
+    // missing. The last Append wrote the device's last byte at the end of the tail chunk.
+    const size_t tail = static_cast<size_t>(unsynced_bytes());
     const Chunk& last = chunks_.back();
-    const int64_t kLen = static_cast<int64_t>(kLenBytes);
-    keep = tail <= kLen ? tail / 2
-                        : kLen + (tail - kLen) / 2 + (last.bytes[last.end - 1] & 0x3);
+    keep = tail <= kLenBytes
+               ? tail / 2
+               : kLenBytes + (tail - kLenBytes) / 2 + (last.bytes[last.end - 1] & 0x3);
     keep = std::min(keep, tail);
   }
-  CutAt(synced_bytes_ + keep);
+  CutAt(synced_bytes_ + static_cast<int64_t>(keep));
   synced_bytes_ = device_bytes_;
 }
 
