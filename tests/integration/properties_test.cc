@@ -111,8 +111,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConfirmationTransparency, ::testing::Values(21u,
 
 // --- Property: queues never oversell across retailer/threshold sweeps ------------------
 
+// gtest names each case after the parameter's raw bytes, so the struct has no padding:
+// padding bytes are indeterminate and would make the case names vary from run to run.
 struct TicketSweep {
-  int retailers;
+  int64_t retailers;
   int64_t threshold;
 };
 
