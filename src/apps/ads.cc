@@ -40,21 +40,32 @@ std::string AdsSystem::ProfileValue(int64_t uid, int64_t version) const {
 }
 
 std::string AdsSystem::AdValue(int64_t ad) const {
+  // "ad-<id>:", then the letter 'A' + (position % 26) up to ad_bytes.
   std::string value = "ad-" + std::to_string(ad) + ":";
-  while (static_cast<int64_t>(value.size()) < config_.ad_bytes) {
-    value += static_cast<char>('A' + (value.size() % 26));
-  }
+  const size_t prefix = value.size();
   value.resize(static_cast<size_t>(config_.ad_bytes));
+  char letter = static_cast<char>('A' + prefix % 26);
+  for (size_t at = prefix; at < value.size(); ++at) {
+    value[at] = letter;
+    letter = letter == 'Z' ? 'A' : static_cast<char>(letter + 1);
+  }
   return value;
 }
 
 void AdsSystem::Preload(KvCluster* cluster) const {
-  for (int64_t uid = 0; uid < config_.num_profiles; ++uid) {
-    cluster->Preload(ProfileKey(uid), ProfileValue(uid, /*version=*/0));
-  }
-  for (int64_t ad = 0; ad < config_.num_ads; ++ad) {
-    cluster->Preload(AdKey(ad), AdValue(ad));
-  }
+  // Every profile, then every ad.
+  const int64_t profiles = config_.num_profiles;
+  cluster->Preload(static_cast<size_t>(profiles + config_.num_ads),
+                   [this, profiles](size_t i, std::string* key, std::string* value) {
+                     const int64_t id = static_cast<int64_t>(i);
+                     if (id < profiles) {
+                       *key = ProfileKey(id);
+                       *value = ProfileValue(id, /*version=*/0);
+                     } else {
+                       *key = AdKey(id - profiles);
+                       *value = AdValue(id - profiles);
+                     }
+                   });
 }
 
 void AdsSystem::FetchAdsByUserId(int64_t uid, bool use_icg,

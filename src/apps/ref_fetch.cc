@@ -1,5 +1,6 @@
 #include "src/apps/ref_fetch.h"
 
+#include <charconv>
 #include <memory>
 #include <utility>
 
@@ -25,13 +26,16 @@ std::vector<int64_t> RefFetcher::ParseRefs(const std::string& csv) {
 }
 
 std::string RefFetcher::JoinRefs(const std::vector<int64_t>& refs) {
-  std::string out;
+  // Room for every id at its longest (a sign and 19 digits) and a comma after it.
+  std::string out(refs.size() * 21, '\0');
+  char* at = out.data();
   for (size_t i = 0; i < refs.size(); ++i) {
     if (i > 0) {
-      out += ',';
+      *at++ = ',';
     }
-    out += std::to_string(refs[i]);
+    at = std::to_chars(at, out.data() + out.size(), refs[i]).ptr;
   }
+  out.resize(static_cast<size_t>(at - out.data()));
   return out;
 }
 

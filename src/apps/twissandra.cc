@@ -36,21 +36,32 @@ std::string Twissandra::TimelineValue(int64_t user, int64_t version) const {
 }
 
 std::string Twissandra::TweetValue(int64_t tweet) const {
+  // "tweet-<id>: ", then the letter 'a' + (position % 26) up to tweet_bytes.
   std::string value = "tweet-" + std::to_string(tweet) + ": ";
-  while (static_cast<int64_t>(value.size()) < config_.tweet_bytes) {
-    value += static_cast<char>('a' + (value.size() % 26));
-  }
+  const size_t prefix = value.size();
   value.resize(static_cast<size_t>(config_.tweet_bytes));
+  char letter = static_cast<char>('a' + prefix % 26);
+  for (size_t at = prefix; at < value.size(); ++at) {
+    value[at] = letter;
+    letter = letter == 'z' ? 'a' : static_cast<char>(letter + 1);
+  }
   return value;
 }
 
 void Twissandra::Preload(KvCluster* cluster) const {
-  for (int64_t user = 0; user < config_.num_users; ++user) {
-    cluster->Preload(TimelineKey(user), TimelineValue(user, /*version=*/0));
-  }
-  for (int64_t tweet = 0; tweet < config_.num_tweets; ++tweet) {
-    cluster->Preload(TweetKey(tweet), TweetValue(tweet));
-  }
+  // Every timeline, then every tweet.
+  const int64_t users = config_.num_users;
+  cluster->Preload(static_cast<size_t>(users + config_.num_tweets),
+                   [this, users](size_t i, std::string* key, std::string* value) {
+                     const int64_t id = static_cast<int64_t>(i);
+                     if (id < users) {
+                       *key = TimelineKey(id);
+                       *value = TimelineValue(id, /*version=*/0);
+                     } else {
+                       *key = TweetKey(id - users);
+                       *value = TweetValue(id - users);
+                     }
+                   });
 }
 
 void Twissandra::GetTimeline(int64_t user, bool use_icg,

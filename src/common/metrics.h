@@ -4,8 +4,10 @@
 #define ICG_COMMON_METRICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace icg {
 
@@ -21,17 +23,27 @@ class Counter {
 };
 
 // Named counters for ad-hoc instrumentation (confirmations sent, read repairs, retries).
-// Not thread-safe by design: the whole simulation is single-threaded.
+// Not thread-safe by design: the whole simulation is single-threaded. Lookups take a
+// string_view and compare without building a std::string, so bumping an existing
+// counter allocates nothing, however long its name.
 class MetricRegistry {
  public:
-  Counter& GetCounter(const std::string& name) { return counters_[name]; }
+  using Counters = std::map<std::string, Counter, std::less<>>;
 
-  int64_t Value(const std::string& name) const {
+  Counter& GetCounter(std::string_view name) {
+    auto it = counters_.find(name);
+    if (it == counters_.end()) {
+      it = counters_.emplace(std::string(name), Counter{}).first;
+    }
+    return it->second;
+  }
+
+  int64_t Value(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.value();
   }
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   void Reset() {
     for (auto& [name, counter] : counters_) {
@@ -40,7 +52,7 @@ class MetricRegistry {
   }
 
  private:
-  std::map<std::string, Counter> counters_;
+  Counters counters_;
 };
 
 }  // namespace icg

@@ -28,9 +28,11 @@ int64_t KeyIndexOf(const std::string& ycsb_key) {
 
 void PreloadYcsbDataset(KvCluster* cluster, const WorkloadConfig& config) {
   const std::string filler(static_cast<size_t>(config.ValueBytes()), 'x');
-  for (int64_t i = 0; i < config.record_count; ++i) {
-    cluster->Preload(CoreWorkload::KeyForIndex(i), filler);
-  }
+  cluster->Preload(static_cast<size_t>(config.record_count),
+                   [&filler](size_t i, std::string* key, std::string* value) {
+                     *key = CoreWorkload::KeyForIndex(static_cast<int64_t>(i));
+                     *value = filler;
+                   });
 }
 
 OpExecutor MakeKvExecutor(CorrectableClient* client, KvMode mode) {

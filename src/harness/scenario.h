@@ -71,9 +71,11 @@ struct ShardedTrial {
 
   // Preloads "init" at key_prefix + [0, keys).
   void Preload(const std::string& key_prefix, int keys) {
-    for (int i = 0; i < keys; ++i) {
-      stack.cluster->Preload(key_prefix + std::to_string(i), "init");
-    }
+    stack.cluster->Preload(static_cast<size_t>(keys),
+                           [&key_prefix](size_t i, std::string* key, std::string* value) {
+                             *key = key_prefix + std::to_string(i);
+                             *value = "init";
+                           });
   }
 
   SimWorld world;

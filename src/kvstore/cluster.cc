@@ -1,9 +1,20 @@
 #include "src/kvstore/cluster.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
+#include <string_view>
 #include <utility>
 
 namespace icg {
+namespace {
+
+// Records per staged preload group, as in KvStore::FindMany: enough index misses in
+// flight to cover one another, few enough that the prefetched slots are still cached
+// when the group's inserts reach them.
+constexpr size_t kPreloadGroup = 16;
+
+}  // namespace
 
 KvClient::KvClient(Network* network, NodeId id, KvReplica* coordinator)
     : network_(network), id_(id), coordinator_(coordinator) {
@@ -114,17 +125,54 @@ std::unique_ptr<KvClient> KvCluster::MakeClient(Region client_region, Region coo
   return std::make_unique<KvClient>(network_, id, coordinator);
 }
 
-void KvCluster::Preload(const std::string& key, const std::string& value) {
-  // Version {1, primary} predates any runtime write (runtime timestamps are virtual
-  // times >= startup), so preloaded data loses LWW ties to every real write. Every
-  // replica shares one buffer, and the last takes the handle itself: each copy is an
-  // atomic increment, a full barrier on x86, and a preload makes one per key and replica.
-  const Version version{1, partitioner_->PrimaryFor(key)};
-  ValueRef shared(value);
-  for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
-    replicas_[i]->LocalPut(key, shared, version);
+void KvCluster::Preload(size_t count, const PreloadFn& generate) {
+  const uint64_t first_lsn = replicas_.front()->wal()->next_lsn();
+  for (const auto& replica : replicas_) {
+    assert(replica->wal()->next_lsn() == first_lsn);
+    replica->ReservePreload(count);
   }
-  replicas_.back()->LocalPut(key, std::move(shared), version);
+  std::string keys[kPreloadGroup];
+  std::string value;
+  PreloadRecord group[kPreloadGroup];
+  size_t record_ends[kPreloadGroup];
+  std::string& encoded = preload_records_;
+  for (size_t base = 0; base < count; base += kPreloadGroup) {
+    const size_t n = std::min(kPreloadGroup, count - base);
+    encoded.clear();
+    for (size_t i = 0; i < n; ++i) {
+      generate(base + i, &keys[i], &value);
+      PreloadRecord& record = group[i];
+      record.key = keys[i];
+      record.hash = KvStore::Hash(record.key);
+      for (const auto& replica : replicas_) {
+        replica->LocalStore().PrefetchSlot(record.hash);
+      }
+      record.value = ValueRef(value);
+      // Version {1, primary} predates any runtime write (runtime timestamps are virtual
+      // times >= startup), so preloaded data loses LWW ties to every real write.
+      record.version = Version{1, partitioner_->PrimaryFor(keys[i])};
+      const size_t at = encoded.size();
+      encoded.resize(at + Wal::EncodedSize(record.key, value));
+      Wal::Encode(encoded.data() + at, first_lsn + base + i, record.key, value, record.version);
+      record_ends[i] = encoded.size();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const size_t begin = i == 0 ? 0 : record_ends[i - 1];
+      group[i].wal_record = std::string_view(encoded).substr(begin, record_ends[i] - begin);
+    }
+    // Every replica shares each value's buffer, and the last takes the handle itself:
+    // each copy is an atomic increment, a full barrier on x86.
+    for (size_t r = 0; r < replicas_.size(); ++r) {
+      replicas_[r]->Preload(std::span(group, n), /*take_values=*/r + 1 == replicas_.size());
+    }
+  }
+}
+
+void KvCluster::Preload(const std::string& key, const std::string& value) {
+  Preload(1, [&key, &value](size_t, std::string* k, std::string* v) {
+    *k = key;
+    *v = value;
+  });
 }
 
 }  // namespace icg

@@ -21,6 +21,14 @@
 // first tag match; then finish each probe exactly as Find does and prefetch the value's
 // bytes. Each stage issues all of its group's loads before the next stage waits on
 // them, so the misses of a whole group overlap.
+//
+// A bulk load (KvCluster::Preload, SnapshotManager::Load) knows how many records are
+// coming. Reserve sizes the entry vector and the index for them at once, so the load
+// never relocates entries or rehashes the index; inserting past the reserved count
+// grows both as before, the index still doubling. A preload also inserts in staged
+// groups, as FindMany reads: it hashes each key once (Hash), prefetches the key's home
+// slot in every replica's store (PrefetchSlot), then inserts with that hash
+// (TryEmplace(key, hash)), so a group's index misses overlap too.
 #ifndef ICG_KVSTORE_KV_STORE_H_
 #define ICG_KVSTORE_KV_STORE_H_
 
@@ -45,6 +53,34 @@ class KvStore {
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  // Entries the store can hold before its entry vector must grow.
+  size_t capacity() const { return entries_.capacity(); }
+
+  // Makes room for `n` entries in all: until the store holds more than `n`, no insert
+  // grows the entry vector or the index. Reserving for more entries than then arrive
+  // wastes only memory. Never shrinks, and grows the entry vector at least
+  // geometrically, so reserving before each of many small loads stays amortized.
+  void Reserve(size_t n) {
+    if (n > entries_.capacity()) {
+      entries_.reserve(std::max(n, 2 * entries_.capacity()));
+    }
+    size_t slots = slots_.size();
+    while (n * 8 > slots * 7) {
+      slots *= 2;
+    }
+    if (slots != slots_.size()) {
+      Rehash(slots);
+    }
+  }
+
+  // The hash that places `key` in the index: a caller inserting one key into several
+  // stores computes it once and passes it to PrefetchSlot and TryEmplace.
+  static uint64_t Hash(std::string_view key) { return std::hash<std::string_view>{}(key); }
+
+  // Starts loading the index slot where the probe for `hash` begins. Changes nothing.
+  void PrefetchSlot(uint64_t hash) const {
+    __builtin_prefetch(&slots_[hash & (slots_.size() - 1)], /*rw=*/1);
+  }
 
   // First-insertion order; overwriting a key keeps its position.
   std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
@@ -102,10 +138,14 @@ class KvStore {
   // Finds `key` or appends it with a default VersionedValue; `second` is true when it
   // was inserted. One probe either way. The pointer follows Find's validity rule.
   std::pair<VersionedValue*, bool> TryEmplace(std::string_view key) {
+    return TryEmplace(key, Hash(key));
+  }
+  // The same with `hash` == Hash(key) computed by the caller.
+  std::pair<VersionedValue*, bool> TryEmplace(std::string_view key, uint64_t hash) {
+    assert(hash == Hash(key));
     if ((entries_.size() + 1) * 8 > slots_.size() * 7) {
-      Grow();
+      Rehash(slots_.size() * 2);
     }
-    const uint64_t hash = Hash(key);
     const size_t at = Probe(key, hash);
     if (slots_[at] != 0) {
       return {&entries_[(slots_[at] & kPositionMask) - 1].second, false};
@@ -132,8 +172,6 @@ class KvStore {
   // group's prefetched lines are still cached when its last stage reads them.
   static constexpr size_t kFindGroup = 16;
 
-  static uint64_t Hash(std::string_view key) { return std::hash<std::string_view>{}(key); }
-
   // The slot holding `key`, or the empty slot that ends its probe run. The low hash bits
   // pick the home slot and the high 32 bits are the tag, so the two are independent.
   size_t Probe(std::string_view key, uint64_t hash) const {
@@ -150,8 +188,9 @@ class KvStore {
     return at;
   }
 
-  void Grow() {
-    std::vector<uint64_t> slots(slots_.size() * 2, 0);
+  // Rebuilds the index at `count` slots, a power of two.
+  void Rehash(size_t count) {
+    std::vector<uint64_t> slots(count, 0);
     const size_t mask = slots.size() - 1;
     for (size_t e = 0; e < entries_.size(); ++e) {
       const uint64_t hash = Hash(entries_[e].first);

@@ -72,7 +72,7 @@ std::vector<NodeId> Partitioner::ReplicasFor(const std::string& key) const {
   return replicas;
 }
 
-NodeId Partitioner::PrimaryFor(const std::string& key) const { return ReplicasFor(key).front(); }
+NodeId Partitioner::PrimaryFor(const std::string& key) const { return OwnerOfToken(TokenOf(key)); }
 
 bool Partitioner::RingDiff::MovedToken(uint64_t token) const {
   for (const TokenRange& range : moved) {

@@ -928,12 +928,22 @@ std::vector<std::optional<VersionedValue>> KvReplica::LocalGetMany(
   return values;
 }
 
+void KvReplica::Preload(std::span<PreloadRecord> group, bool take_values) {
+  for (PreloadRecord& record : group) {
+    VersionedValue* stored = storage_.TryEmplace(record.key, record.hash).first;
+    stored->value = take_values ? std::move(record.value) : record.value;
+    stored->version = record.version;
+    // Preloads are part of the durable dataset: log + sync so a crashed replica's
+    // recovered state includes them without leaning on the bootstrap. They are applied
+    // at every replica by construction, so they are cluster-visible immediately.
+    replicated_lsn_ = std::max(replicated_lsn_, wal_.AppendEncoded(record.wal_record));
+    wal_.Sync();
+  }
+}
+
 void KvReplica::LocalPut(const std::string& key, ValueRef value, Version version) {
   VersionedValue* stored = storage_.TryEmplace(key).first;
   *stored = VersionedValue{std::move(value), version};
-  // Preloads are part of the durable dataset: log + sync so a crashed replica's
-  // recovered state includes them without leaning on the bootstrap. They are applied
-  // at every replica by construction, so they are cluster-visible immediately.
   replicated_lsn_ = std::max(replicated_lsn_, wal_.Append(key, stored->value.view(), version));
   wal_.Sync();
 }

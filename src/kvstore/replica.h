@@ -37,7 +37,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,6 +79,16 @@ struct ReadOptions {
   bool want_preliminary = false;  // ICG: flush a weak view before coordinating
   bool want_final = true;         // false = weak-only read (R=1 local)
   bool confirmations = false;     // replace matching finals by confirmation messages
+};
+
+// One record of a dataset preload (KvCluster::Preload), staged once for every replica.
+struct PreloadRecord {
+  std::string_view key;
+  uint64_t hash = 0;  // KvStore::Hash(key)
+  ValueRef value;     // one buffer for every replica
+  Version version;
+  // The record in the WAL wire format (Wal::Encode), at the replicas' common next LSN.
+  std::string_view wal_record;
 };
 
 // Client-side completion for one view of a read/write. `kind` distinguishes full values
@@ -192,8 +204,17 @@ class KvReplica {
                        std::function<void(std::vector<std::pair<std::string, VersionedValue>>)>
                            deliver);
 
-  // --- Direct local access (tests, dataset preloading) --------------------------------
+  // --- Dataset preloading (KvCluster::Preload) ----------------------------------------
+  // Makes room in the store for `count` more records.
+  void ReservePreload(size_t count) { storage_.Reserve(storage_.size() + count); }
+  // Stores every record of `group` in order, appends its encoded bytes to the WAL and
+  // syncs after each record: the store, device and counters that LocalPut of each record
+  // leaves. With `take_values`, moves each value out of `group` instead of sharing it.
+  void Preload(std::span<PreloadRecord> group, bool take_values);
+
+  // --- Direct local access (tests) ----------------------------------------------------
   std::optional<VersionedValue> LocalGet(const std::string& key) const;
+  // Stores `key -> value` at `version` on this replica alone, logged and synced.
   void LocalPut(const std::string& key, ValueRef value, Version version);
   size_t LocalSize() const { return storage_.size(); }
   const KvStore& LocalStore() const { return storage_; }

@@ -1,5 +1,6 @@
 #include "src/kvstore/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/digest.h"
@@ -37,8 +38,12 @@ void SnapshotManager::Take(const KvStore& storage, uint64_t through_lsn) {
   for (const auto& [key, vv] : storage) {
     size += kRecordHeaderBytes + key.size() + vv.value.size();
   }
-  auto image = std::make_unique_for_overwrite<char[]>(size);
-  char* at = Put(image.get(), through_lsn);
+  if (size > image_capacity_) {
+    image_.reset();  // the old image is dropped first, so a replica never holds two
+    image_ = std::make_unique_for_overwrite<char[]>(size);
+    image_capacity_ = size;
+  }
+  char* at = Put(image_.get(), through_lsn);
   at = Put(at, static_cast<uint64_t>(storage.size()));
   for (const auto& [key, vv] : storage) {
     at = Put(at, static_cast<uint64_t>(vv.version.timestamp));
@@ -48,8 +53,7 @@ void SnapshotManager::Take(const KvStore& storage, uint64_t through_lsn) {
     at = PutBytes(at, key);
     at = PutBytes(at, vv.value.view());
   }
-  Put(at, Xxh64(std::string_view(image.get(), size - kChecksumBytes)));
-  image_ = std::move(image);  // atomic replace: temp-write + rename in a real system
+  Put(at, Xxh64(std::string_view(image_.get(), size - kChecksumBytes)));
   image_size_ = size;
   covered_lsn_ = through_lsn;
   snapshots_taken_ += 1;
@@ -67,6 +71,10 @@ bool SnapshotManager::Load(std::string_view image, KvStore* out, uint64_t* throu
   }
   const uint64_t covered = Get<uint64_t>(image, 0);
   const uint64_t entries = Get<uint64_t>(image, 8);
+  // The count is only as trustworthy as the checksum: a resealed image can claim any
+  // count, so reserve no more entries than the image's bytes can hold.
+  out->Reserve(static_cast<size_t>(
+      std::min<uint64_t>(entries, (body - kHeaderBytes) / kRecordHeaderBytes)));
   size_t at = kHeaderBytes;
   for (uint64_t i = 0; i < entries; ++i) {
     if (body - at < kRecordHeaderBytes) {

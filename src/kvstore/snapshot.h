@@ -6,7 +6,12 @@
 // Like the WAL device, the snapshot "file" is a byte buffer that survives
 // KvReplica::Crash(). Writing is modeled as atomic (write-temp-then-rename in a real
 // system): a snapshot either exists completely and validates, or the previous one still
-// does — there is no torn-snapshot state.
+// does — there is no torn-snapshot state. Take writes each image over the previous
+// one's buffer, and allocates a new buffer only when the store outgrew the old one, so a
+// replica never holds two images and the copy writes into pages it already touched. The
+// overwrite keeps the model atomic because Take is one synchronous step in virtual
+// time: no crash, read or event runs between its first byte and its last, so nothing
+// can see a half-written image.
 //
 // Image layout (integers little-endian, fixed width):
 //
@@ -46,7 +51,8 @@ class SnapshotManager {
   explicit SnapshotManager(std::string name) : name_(std::move(name)) {}
 
   // Serializes `storage` and records that WAL records with lsn <= through_lsn are
-  // covered. Atomic: replaces any previous snapshot.
+  // covered. Atomic: replaces any previous snapshot, writing over its buffer when it
+  // is large enough, so a view from image() is valid only until the next Take.
   void Take(const KvStore& storage, uint64_t through_lsn);
 
   // Loads the snapshot into `out` (replacing its contents) and reports the covered
@@ -56,7 +62,8 @@ class SnapshotManager {
     return Load(image(), out, through_lsn);
   }
   // The same for an image given as bytes. It validates when it is at least 24 bytes,
-  // its checksum matches and its records fill it exactly.
+  // its checksum matches and its records fill it exactly. `out` is sized once for the
+  // image's entry count, capped by what the image's bytes can hold.
   static bool Load(std::string_view image, KvStore* out, uint64_t* through_lsn);
 
   bool HasSnapshot() const { return image_size_ != 0; }
@@ -71,7 +78,8 @@ class SnapshotManager {
  private:
   std::string name_;
   std::unique_ptr<char[]> image_;  // the simulated snapshot file (atomic replace on Take)
-  size_t image_size_ = 0;
+  size_t image_size_ = 0;          // the image's bytes: a prefix of the buffer
+  size_t image_capacity_ = 0;      // the buffer's size
   uint64_t covered_lsn_ = 0;
   int64_t snapshots_taken_ = 0;
 };

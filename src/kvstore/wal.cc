@@ -1,6 +1,7 @@
 #include "src/kvstore/wal.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/common/digest.h"
@@ -35,9 +36,27 @@ constexpr size_t kPayloadHeaderBytes = 8 + 8 + 4 + 4 + 4;
 
 uint64_t Wal::Append(std::string_view key, std::string_view value, const Version& version) {
   const uint64_t lsn = next_lsn_++;
+  Encode(Reserve(EncodedSize(key, value)), lsn, key, value, version);
+  appended_records_ += 1;
+  return lsn;
+}
+
+uint64_t Wal::AppendEncoded(std::string_view record) {
+  assert(record.size() >= kLenBytes + kPayloadHeaderBytes + kChecksumBytes &&
+         Get<uint64_t>(record.data() + kLenBytes) == next_lsn_);
+  std::memcpy(Reserve(record.size()), record.data(), record.size());
+  appended_records_ += 1;
+  return next_lsn_++;
+}
+
+size_t Wal::EncodedSize(std::string_view key, std::string_view value) {
+  return kLenBytes + kPayloadHeaderBytes + key.size() + value.size() + kChecksumBytes;
+}
+
+void Wal::Encode(char* out, uint64_t lsn, std::string_view key, std::string_view value,
+                 const Version& version) {
   const size_t payload_len = kPayloadHeaderBytes + key.size() + value.size();
-  char* const record = Reserve(kLenBytes + payload_len + kChecksumBytes);
-  char* at = Put(record, static_cast<uint32_t>(payload_len));
+  char* at = Put(out, static_cast<uint32_t>(payload_len));
   at = Put(at, lsn);
   at = Put(at, static_cast<uint64_t>(version.timestamp));
   at = Put(at, static_cast<uint32_t>(version.writer));
@@ -45,9 +64,7 @@ uint64_t Wal::Append(std::string_view key, std::string_view value, const Version
   at = Put(at, static_cast<uint32_t>(value.size()));
   at = PutBytes(at, key);
   at = PutBytes(at, value);
-  Put(at, Xxh64(std::string_view(record + kLenBytes, payload_len)));
-  appended_records_ += 1;
-  return lsn;
+  Put(at, Xxh64(std::string_view(out + kLenBytes, payload_len)));
 }
 
 char* Wal::Reserve(size_t n) {

@@ -13,9 +13,10 @@
 //   [u32 key_len][u32 value_len][key bytes][value bytes][u64 xxh64(payload)]
 //
 // `payload_len` counts everything between itself and the trailing checksum. The
-// checksum is Xxh64 (src/common/digest.h), which hashes the payload a word at a time:
-// every preloaded key is logged on every replica, so it runs over every byte a preload
-// writes. Replay validates both the length header (against the remaining device bytes)
+// checksum is Xxh64 (src/common/digest.h), which hashes the payload a word at a time. A
+// record bound for several logs (a preload logs every key on every replica) is encoded
+// and checksummed once (Encode) and appended to each log as bytes (AppendEncoded).
+// Replay validates both the length header (against the remaining device bytes)
 // and the checksum; the first violation ends replay cleanly — by construction only
 // unsynced (hence unacknowledged) records can be torn, so stopping there never loses an
 // acknowledged write. Recover() then cuts the device after the last valid record, so a
@@ -94,6 +95,16 @@ class Wal {
   // Appends one record to the device. NOT durable until the next Sync().
   // Returns the record's LSN (strictly increasing from 1).
   uint64_t Append(std::string_view key, std::string_view value, const Version& version);
+  // Appends `record`, one record already in the wire format (Encode) whose LSN is
+  // next_lsn(): the bytes Append would write for it, so a record bound for several logs
+  // is encoded and checksummed once. Returns its LSN.
+  uint64_t AppendEncoded(std::string_view record);
+
+  // The size of a record of `key` and `value` in the wire format.
+  static size_t EncodedSize(std::string_view key, std::string_view value);
+  // Writes that record, checksum included, to the EncodedSize bytes at `out`.
+  static void Encode(char* out, uint64_t lsn, std::string_view key, std::string_view value,
+                     const Version& version);
 
   // Makes every appended byte durable and returns the fsync latency the caller must
   // charge (on its service queue) before acknowledging anything covered by this sync.

@@ -1,6 +1,6 @@
 // KvStore: lookups through index growth, overwrite-in-place, first-insertion iteration
 // order, absent keys (empty store, after clear(), inside a probe run), string_view
-// lookups and batched lookups (FindMany).
+// lookups, batched lookups (FindMany) and bulk loads (Reserve, hashed inserts).
 #include "src/kvstore/kv_store.h"
 
 #include <gtest/gtest.h>
@@ -169,6 +169,62 @@ TEST(KvStoreTest, FindManyMatchesFind) {
   store.FindMany(mixed, out);
   EXPECT_EQ(out.front()->value, "v0");
   EXPECT_EQ(out[1], nullptr);
+}
+
+TEST(KvStoreTest, ReserveChangesNoLookupOrOrder) {
+  // Dense probe runs of colliding keys interleaved with ordinary keys, so runs cross,
+  // then an overwrite of an early key.
+  const std::vector<std::string> colliding = CollidingKeys(30);
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 300; ++i) {
+    keys.push_back(i % 10 == 0 ? colliding[i / 10] : "key" + std::to_string(i));
+  }
+  keys.push_back(keys[3]);
+
+  // Reserve on an empty store and on one already holding half the keys, for fewer and
+  // for more entries than then arrive, against a store never reserved.
+  for (const size_t before : {size_t{0}, size_t{150}}) {
+    for (const size_t reserved : {size_t{20}, size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << before << " before, " << reserved << " reserved");
+      KvStore plain;
+      KvStore bulk;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (i == before) {
+          bulk.Reserve(bulk.size() + reserved);
+          EXPECT_GE(bulk.capacity(), bulk.size() + reserved);
+        }
+        const VersionedValue vv{"v" + std::to_string(i), Version{static_cast<SimTime>(i), 1}};
+        *plain.TryEmplace(keys[i]).first = vv;
+        const uint64_t hash = KvStore::Hash(keys[i]);
+        bulk.PrefetchSlot(hash);
+        *bulk.TryEmplace(keys[i], hash).first = vv;
+      }
+      EXPECT_EQ(Keys(bulk), Keys(plain));
+      EXPECT_EQ(bulk, plain);
+      for (const std::string& key : {keys[0], keys[3], keys[150], keys[299], colliding[29],
+                                     std::string("absent")}) {
+        const VersionedValue* found = bulk.Find(key);
+        const VersionedValue* expected = plain.Find(key);
+        ASSERT_EQ(found == nullptr, expected == nullptr) << key;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, *expected) << key;
+        }
+      }
+    }
+  }
+}
+
+TEST(KvStoreTest, ReservedEntriesArriveWithoutGrowth) {
+  KvStore store;
+  store.Reserve(1000);
+  const size_t capacity = store.capacity();
+  EXPECT_GE(capacity, 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    Set(store, "key" + std::to_string(i), VersionedValue{"v", Version{1, 1}});
+  }
+  EXPECT_EQ(store.capacity(), capacity);
+  store.Reserve(10);  // never shrinks
+  EXPECT_EQ(store.capacity(), capacity);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // WAL + snapshot durability semantics: append/sync watermarks, crash tail loss, torn
-// records and recovery's cut of them, replay after a covered LSN, truncation, and the
-// snapshot image's layout, load and validation.
+// records and recovery's cut of them, replay after a covered LSN, truncation, the
+// snapshot image's layout, load, validation and buffer reuse, and the logs and stores a
+// dataset preload leaves on every replica.
 #include "src/kvstore/wal.h"
 
 #include <gtest/gtest.h>
@@ -8,12 +9,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/digest.h"
+#include "src/kvstore/cluster.h"
 #include "src/kvstore/kv_store.h"
+#include "src/kvstore/partitioner.h"
 #include "src/kvstore/snapshot.h"
 #include "src/kvstore/versioned_value.h"
 
@@ -248,12 +254,20 @@ TEST(WalTest, DeviceHoldsTheDocumentedEncoding) {
                                             {2, "empty", "", Version{-5, 0}},
                                             {3, every_byte, every_byte, Version{30, 7}}};
   std::string expected;
+  Wal encoded_once("e");  // the same records, encoded by Wal::Encode and appended as bytes
   for (const Wal::Record& r : records) {
     EXPECT_EQ(wal.Append(r.key, r.value, r.version), r.lsn);
     expected += Encode(r);
+    std::string record(Wal::EncodedSize(r.key, r.value), '\0');
+    Wal::Encode(record.data(), r.lsn, r.key, r.value, r.version);
+    EXPECT_EQ(record, Encode(r));
+    EXPECT_EQ(encoded_once.AppendEncoded(record), r.lsn);
   }
   EXPECT_EQ(wal.device(), expected);
   EXPECT_EQ(wal.device_bytes(), static_cast<int64_t>(expected.size()));
+  EXPECT_EQ(encoded_once.device(), expected);
+  EXPECT_EQ(encoded_once.appended_records(), wal.appended_records());
+  EXPECT_EQ(encoded_once.next_lsn(), wal.next_lsn());
 }
 
 TEST(WalTest, ReplayFromLsnSkipsCoveredRecords) {
@@ -555,6 +569,15 @@ TEST(SnapshotTest, LoadRejectsCorruptOrTruncatedImages) {
   expect_rejected(resealed(8, 3, 8));           // one entry more than the records
   expect_rejected(resealed(8, 1, 8));           // trailing bytes after the last record
   expect_rejected(resealed(16 + 12, 1000, 4));  // the first key runs past the body
+  // An entry count far beyond what the bytes can hold (every entry takes at least 20)
+  // fails too, and Load sizes the store for no more entries than the bytes could hold.
+  expect_rejected(resealed(8, 100'000, 8));
+  {
+    KvStore out;
+    uint64_t ignored = 0;
+    EXPECT_FALSE(SnapshotManager::Load(resealed(8, 100'000, 8), &out, &ignored));
+    EXPECT_LE(out.capacity(), image.size() / 20);
+  }
   KvStore loaded;
   uint64_t through = 0;
   EXPECT_TRUE(SnapshotManager::Load(resealed(0, 7, 8), &loaded, &through));
@@ -571,21 +594,32 @@ TEST(SnapshotTest, LoadWithoutSnapshotReturnsFalse) {
 }
 
 TEST(SnapshotTest, TakeReplacesPreviousSnapshotAtomically) {
-  SnapshotManager snap("s");
+  // A larger store after a smaller one outgrows the image buffer; a smaller one after a
+  // larger one is written over the front of it. Each image stands alone.
   KvStore v1;
   Set(v1, "a", VersionedValue{"old", Version{1, 1}});
-  snap.Take(v1, 3);
   KvStore v2;
   Set(v2, "a", VersionedValue{"new", Version{5, 1}});
-  Set(v2, "b", VersionedValue{"fresh", Version{6, 1}});
-  snap.Take(v2, 9);
-  EXPECT_EQ(snap.snapshots_taken(), 2);
-
-  KvStore loaded;
-  uint64_t through = 0;
-  ASSERT_TRUE(snap.Load(&loaded, &through));
-  EXPECT_EQ(through, 9u);
-  EXPECT_EQ(loaded, v2);
+  Set(v2, "b", VersionedValue{std::string(300, 'f'), Version{6, 1}});
+  KvStore v3;
+  Set(v3, "c", VersionedValue{"short", Version{7, 2}});
+  SnapshotManager snap("s");
+  uint64_t lsn = 0;
+  for (const KvStore* store : {&v1, &v2, &v3}) {
+    lsn += 3;
+    snap.Take(*store, lsn);
+    int64_t expected_bytes = 16 + 8;
+    for (const auto& [key, vv] : *store) {
+      expected_bytes += 20 + static_cast<int64_t>(key.size() + vv.value.size());
+    }
+    EXPECT_EQ(snap.image_bytes(), expected_bytes);
+    KvStore loaded;
+    uint64_t through = 0;
+    ASSERT_TRUE(snap.Load(&loaded, &through));
+    EXPECT_EQ(through, lsn);
+    EXPECT_EQ(loaded, *store);
+  }
+  EXPECT_EQ(snap.snapshots_taken(), 3);
 }
 
 TEST(SnapshotTest, SnapshotPlusReplayRebuildsExactState) {
@@ -622,6 +656,91 @@ TEST(SnapshotTest, SnapshotPlusReplayRebuildsExactState) {
   EXPECT_EQ(replay.records, 2u);
   // Same entries in the same (first-insertion) order.
   EXPECT_EQ(rebuilt, expected);
+}
+
+// --- Dataset preloading --------------------------------------------------------------
+
+// Record i of a 40-record dataset: three full staged groups and part of a fourth, with an
+// empty value, a value larger than a WAL chunk and a key loaded twice.
+std::pair<std::string, std::string> DatasetRecord(size_t i) {
+  if (i == 11) {
+    return {"empty", ""};
+  }
+  if (i == 20) {
+    return {"large", std::string(Wal::kChunkBytes + 6000, 'L')};
+  }
+  if (i == 33) {
+    return {"r5", "r5-again"};  // overwrites record 5 in place
+  }
+  return {"r" + std::to_string(i), "value-" + std::to_string(i * 7)};
+}
+
+struct PreloadWorld {
+  PreloadWorld()
+      : topology(RttMatrix::Ec2Default()),
+        network(&loop, &topology, /*seed=*/1, /*jitter_sigma=*/0.0),
+        cluster(&network, &topology, &config,
+                {Region::kFrankfurt, Region::kIreland, Region::kVirginia}) {}
+
+  EventLoop loop;
+  Topology topology;
+  Network network;
+  KvConfig config;
+  KvCluster cluster;
+};
+
+TEST(PreloadTest, BulkLoadEqualsOneRecordAtATime) {
+  constexpr size_t kRecords = 40;
+  PreloadWorld bulk;
+  bulk.cluster.Preload(kRecords, [](size_t i, std::string* key, std::string* value) {
+    std::tie(*key, *value) = DatasetRecord(i);
+  });
+  PreloadWorld single;
+  for (size_t i = 0; i < kRecords; ++i) {
+    const auto [key, value] = DatasetRecord(i);
+    single.cluster.Preload(key, value);
+  }
+
+  // The reference: each record stored and logged on each replica in turn, at version
+  // {1, primary}, the primary named by the ring over the replicas in cluster order.
+  PreloadWorld reference;
+  std::vector<NodeId> ids;
+  for (const auto& replica : reference.cluster.replicas()) {
+    ids.push_back(replica->id());
+  }
+  const Partitioner ring(ids, /*replication_factor=*/1);
+  std::string expected_device;
+  for (size_t i = 0; i < kRecords; ++i) {
+    const auto [key, value] = DatasetRecord(i);
+    const Version version{1, ring.PrimaryFor(key)};
+    for (const auto& replica : reference.cluster.replicas()) {
+      replica->LocalPut(key, value, version);
+    }
+    expected_device += Encode(Wal::Record{i + 1, key, value, version});
+  }
+
+  for (const PreloadWorld* world : {&bulk, &single}) {
+    ASSERT_EQ(world->cluster.replicas().size(), reference.cluster.replicas().size());
+    for (size_t r = 0; r < reference.cluster.replicas().size(); ++r) {
+      SCOPED_TRACE(testing::Message() << (world == &bulk ? "bulk" : "single") << ", replica " << r);
+      KvReplica& got = *world->cluster.replicas()[r];
+      KvReplica& want = *reference.cluster.replicas()[r];
+      EXPECT_EQ(got.LocalStore(), want.LocalStore());
+      EXPECT_TRUE(got.wal()->device() == want.wal()->device());
+      EXPECT_TRUE(got.wal()->device() == expected_device);
+      EXPECT_EQ(got.wal()->next_lsn(), kRecords + 1);
+      EXPECT_EQ(got.wal()->next_lsn(), want.wal()->next_lsn());
+      EXPECT_EQ(got.wal()->appended_records(), want.wal()->appended_records());
+      EXPECT_EQ(got.wal()->syncs(), want.wal()->syncs());
+      EXPECT_EQ(got.wal()->synced_bytes(), want.wal()->synced_bytes());
+    }
+  }
+
+  // The repeated key kept its first position and took its second value.
+  const KvStore& store = bulk.cluster.replicas()[0]->LocalStore();
+  EXPECT_EQ(store.size(), kRecords - 1);
+  EXPECT_EQ(std::next(store.begin(), 5)->first, "r5");
+  EXPECT_EQ(std::next(store.begin(), 5)->second.value, "r5-again");
 }
 
 }  // namespace
